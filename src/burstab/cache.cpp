@@ -1,7 +1,6 @@
 #include "burstab/cache.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -37,18 +36,18 @@ constexpr std::uint32_t kCacheMagic = 0x52544331;  // "RTC1"
 // across threads AND processes); v4 blobs are a miss and rebuild cleanly.
 // v6: TemplateBase serialises branch_delay_slots (architectural branch delay
 // from the HDL DELAY attribute); v5 blobs are a miss and rebuild cleanly.
-constexpr std::uint32_t kCacheVersion = 6;
+// v7: the tables section is the hash tables' states + transitions in id
+// order (BTR4); entries are read into memory, never mapped. v6 blobs are a
+// miss and rebuild cleanly.
+constexpr std::uint32_t kCacheVersion = 7;
 
-// The header below (magic, version, key, checksum) is 24 bytes — keep it a
-// multiple of 4 so the payload-relative alignment of the frozen pool (see
-// TargetTables::serialize) equals its file-relative alignment.
+// The header: magic, version, key, checksum.
 constexpr std::size_t kCacheHeaderBytes = 24;
 
 /// Opens one cache entry read-only, retrying transient failures — EINTR /
 /// EAGAIN interruptions, or an injected "burstab.cache.open" fault — up to
 /// 3 attempts with jittered backoff before declaring the entry unreadable
-/// (corruption-class failures like ENOENT never retry). Both the mmap tier
-/// and the buffered-read tier open through here.
+/// (corruption-class failures like ENOENT never retry).
 int open_with_retry(const std::string& path) {
   const std::uint64_t jitter_us = fnv1a(path) % 700;
   for (int attempt = 0;; ++attempt) {
@@ -62,55 +61,9 @@ int open_with_retry(const std::string& path) {
   }
 }
 
-/// RAII mmap of a whole cache entry, PROT_READ + MAP_SHARED so concurrent
-/// loaders of one key share page-cache pages. rename()-based publication
-/// makes this safe against concurrent re-stores: a replaced entry's inode
-/// (and our pages) stays alive until the mapping is dropped.
-struct Mapping {
-  void* addr = nullptr;
-  std::size_t len = 0;
-
-  static std::shared_ptr<const Mapping> open_file(const std::string& path) {
-    int fd = open_with_retry(path);
-    if (fd < 0) return nullptr;
-    struct stat st{};
-    if (::fstat(fd, &st) != 0 || st.st_size <= 0 ||
-        static_cast<std::uint64_t>(st.st_size) < kCacheHeaderBytes) {
-      ::close(fd);
-      return nullptr;
-    }
-    std::size_t len = static_cast<std::size_t>(st.st_size);
-    void* addr = util::failpoint("burstab.cache.mmap")
-                     ? MAP_FAILED
-                     : ::mmap(nullptr, len, PROT_READ, MAP_SHARED, fd, 0);
-    if (addr != MAP_FAILED) {
-      // Length probe: a file shortened after the fstat above would SIGBUS on
-      // the first touch past EOF. Reading the last mapped byte through the
-      // fd turns that into a clean fallback instead of a signal.
-      char last = 0;
-      if (::pread(fd, &last, 1, st.st_size - 1) != 1) {
-        ::munmap(addr, len);
-        addr = MAP_FAILED;
-      }
-    }
-    ::close(fd);
-    if (addr == MAP_FAILED) return nullptr;
-    auto m = std::make_shared<Mapping>();
-    m->addr = addr;
-    m->len = len;
-    return m;
-  }
-
-  Mapping() = default;
-  Mapping(const Mapping&) = delete;
-  Mapping& operator=(const Mapping&) = delete;
-  ~Mapping() {
-    if (addr) ::munmap(addr, len);
-  }
-};
-
-/// Buffered-read tier: the whole entry into a heap string via plain
-/// EINTR-retried read(2), for when the mapping cannot be established.
+/// Reads the whole entry into a heap string via plain EINTR-retried
+/// read(2). False if the file is missing, shorter than a header or shrinks
+/// while being read.
 bool read_whole_file(const std::string& path, std::string& out) {
   int fd = open_with_retry(path);
   if (fd < 0) return false;
@@ -214,31 +167,16 @@ std::string TargetCache::entry_path(std::uint64_t key) const {
 
 std::optional<TargetArtifacts> TargetCache::load(std::uint64_t key) const {
   OBS_SPAN("burstab.cache.load");
-  // Tier 1: the whole entry mmap'ed read-only — header/grammar sections are
-  // stream-parsed straight off the mapping and the frozen-tables pool is
-  // adopted zero-copy (the mapping's pin rides inside the tables; the pages
-  // stay shared across every thread and process loading this key).
-  // Tier 2: when the mapping cannot be established (mmap failure, a file
-  // shortened under us), a plain buffered read serves the same bytes from
-  // the heap — the pool is then copied rather than adopted.
-  const std::string path = entry_path(key);
-  std::shared_ptr<const Mapping> map = Mapping::open_file(path);
-  std::string heap;  // tier-2 storage; empty while the mapping is live
-  std::string_view blob;
-  if (map) {
-    blob = std::string_view(static_cast<const char*>(map->addr), map->len);
-  } else {
-    if (!read_whole_file(path, heap)) {
-      obs::metrics().counter("burstab.cache.miss").add(1);
-      return std::nullopt;
-    }
-    obs::metrics().counter("burstab.cache.fallback.buffered_read").add(1);
-    blob = heap;
+  std::string blob;
+  if (!read_whole_file(entry_path(key), blob)) {
+    obs::metrics().counter("burstab.cache.miss").add(1);
+    return std::nullopt;
   }
 
-  // A structurally unusable blob (stale version, torn write, corruption) is
-  // a miss that rebuilds cleanly, but it is counted separately: a rejection
-  // rate says something a cold miss does not.
+  // A structurally unusable blob (stale version, torn write, corruption, a
+  // section that fails to parse) is a miss that rebuilds cleanly, but it is
+  // counted separately: a rejection rate says something a cold miss does
+  // not.
   auto reject = [] {
     obs::metrics().counter("burstab.cache.rejected").add(1);
     return std::nullopt;
@@ -262,19 +200,8 @@ std::optional<TargetArtifacts> TargetCache::load(std::uint64_t key) const {
   if (!r.ok()) return reject();
   if (has_tables) {
     std::size_t offset = r.pos();
-    std::unique_ptr<TargetTables> t =
-        util::failpoint("burstab.pool.adopt")
-            ? nullptr
-            : TargetTables::deserialize(a.grammar, blob, offset, map);
-    if (t) {
-      a.tables = std::move(t);
-    } else {
-      // The checksum above already vouched for the base + grammar sections,
-      // so a malformed (or failpoint-poisoned) pool loses only the tables:
-      // the artifacts are salvaged and the caller rebuilds tables from the
-      // grammar — or serves the interpreter — instead of re-retargeting.
-      obs::metrics().counter("burstab.cache.tables_lost").add(1);
-    }
+    a.tables = TargetTables::deserialize(a.grammar, blob, offset);
+    if (!a.tables) return reject();
   }
   obs::metrics().counter("burstab.cache.hit").add(1);
   return a;

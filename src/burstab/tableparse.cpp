@@ -26,11 +26,6 @@ void TableParser::label_into(const SubjectTree& tree,
   result.reset(tree.size(), nts);
   if (!tree.root()) return;
 
-  // One frozen snapshot for the whole walk: every hit is pure array reads
-  // with no lock; misses fall back to the memoised path (which counts them
-  // towards the next re-freeze).
-  const TargetTables::FrozenTables* frozen = tables_.frozen();
-
   std::vector<int> state_of(tree.size(), -1);
   std::vector<int> base_of(tree.size(), 0);
 
@@ -212,7 +207,7 @@ void TableParser::label_into(const SubjectTree& tree,
       merged = true;
     }
     if (merged) {
-      // Constrained merges re-intern instead of probing the frozen tables;
+      // Constrained merges re-intern instead of looking up a transition;
       // they count as cold so transition coverage denominators stay honest.
       if (coverage_) coverage_->record_cold_transition();
       continue;
@@ -232,24 +227,16 @@ void TableParser::label_into(const SubjectTree& tree,
         child_states.push_back(state_of[static_cast<std::size_t>(c->id)]);
         base = sat_add(base, base_of[static_cast<std::size_t>(c->id)]);
       }
-      TargetTables::Transition t;
-      std::int32_t slot = -1;
-      if (frozen && frozen->lookup(node.term, child_states.data(),
-                                   child_states.size(), t, &slot)) {
-        if (coverage_) coverage_->record_transition(slot);
-      } else {
-        t = tables_.transition_cold(node.term, child_states);
-        if (coverage_) coverage_->record_cold_transition();
-      }
+      const TargetTables::Transition t =
+          tables_.transition(node.term, child_states);
+      if (coverage_) coverage_->record_transition(t.id);
       state = t.state;
       base = sat_add(base, t.delta);
     }
     state_of[id] = state;
     base_of[id] = base;
 
-    const StateView s = (frozen && state < frozen->state_count)
-                            ? tables_.frozen_state_view(*frozen, state)
-                            : tables_.state_view(state);
+    const StateView s = tables_.state_view(state);
     for (int i = 0; i < nts; ++i) {
       const std::size_t idx = static_cast<std::size_t>(i);
       mine[idx].cost = sat_add(base, s.cost[idx]);

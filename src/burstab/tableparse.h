@@ -7,10 +7,10 @@
 // TreeParser::reduce extracts an identical derivation (same optimal costs,
 // same winning rules, same RT sequence).
 //
-// The per-node lookup probes the frozen (compressed, lock-free) snapshot
-// first: child-state index maps plus one displacement-table probe, no
-// hashing, no lock. Cold combinations fall back to the tables' memoised
-// hash path, which feeds the next incremental re-freeze.
+// The per-node lookup is one probe of the tables' memoised transition map
+// under a shared lock; a combination met for the first time is computed and
+// memoised. Each lookup reports the transition's stable id, which is what
+// an attached coverage map records.
 //
 // Nodes whose operator owns a side-constrained rule (shared immediate
 // fields, structural-equality non-terminal bindings) are labelled through
@@ -60,7 +60,8 @@ class TableParser {
 
   /// Attach a coverage map (null detaches). The disabled cost in
   /// label_into is one pointer test per node; when attached, every state
-  /// assignment, frozen-slot hit, cold lookup and matched rule is recorded.
+  /// assignment, transition lookup (by id), cold merge and matched rule is
+  /// recorded.
   void set_coverage(obs::CoverageMap* map) { coverage_ = map; }
 
  private:

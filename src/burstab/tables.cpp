@@ -4,11 +4,8 @@
 #include <cassert>
 #include <cstring>
 #include <mutex>
-#include <numeric>
 
 #include "burstab/serialize.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "treeparse/burs.h"
 #include "util/strings.h"
 
@@ -31,18 +28,6 @@ std::int64_t const_pair_key(int fit_index, int const_class) {
   return (static_cast<std::int64_t>(fit_index + 1) << 32) |
          static_cast<std::int64_t>(const_class + 1);
 }
-
-/// Row counts beyond this abandon freezing one operator (its transitions
-/// stay on the hash path) rather than materialise a pathological
-/// displacement table.
-constexpr std::size_t kMaxFrozenRows = std::size_t{1} << 20;
-
-/// First word of every frozen pool. The pool is written to disk verbatim
-/// (host int32s), so a blob produced on a foreign-endianness machine reads
-/// back a scrambled marker and is rejected as a clean cache miss.
-constexpr std::int32_t kPoolByteOrder = 0x01020304;
-constexpr std::size_t kPoolHeaderWords = 12;
-constexpr std::size_t kPoolOpHeaderWords = 8;
 
 }  // namespace
 
@@ -251,15 +236,9 @@ void TargetTables::prepare(const grammar::TreeGrammar& g) {
 
 TargetTables::TargetTables(const grammar::TreeGrammar& g,
                            const TableBuildOptions& options)
-    : freeze_enabled_(options.freeze),
-      refreeze_misses_(std::max<std::size_t>(1, options.refreeze_misses)),
-      state_index_(16, RowHash{this}, RowEq{this}) {
+    : state_index_(16, RowHash{this}, RowEq{this}) {
   prepare(g);
-  if (options.precompute) {
-    run_closure(options);  // freezes at the end when enabled
-  } else if (freeze_enabled_) {
-    freeze();  // empty snapshot: dynamic fills count as misses and re-freeze
-  }
+  if (options.precompute) run_closure(options);
 }
 
 // --- flat state rows --------------------------------------------------------
@@ -277,14 +256,8 @@ StateView TargetTables::view_of_row(const std::int32_t* row) const {
 }
 
 const std::int32_t* TargetTables::state_row_locked(int id) const {
-  // Mapped base states live contiguously inside the adopted pool; states
-  // interned after the adoption go to the arena as usual.
-  if (id < base_state_count_)
-    return base_rows_ +
-           static_cast<std::size_t>(id) * static_cast<std::size_t>(stride_);
-  const int a = id - base_state_count_;
-  return state_blocks_[static_cast<std::size_t>(a / kStatesPerBlock)].get() +
-         static_cast<std::size_t>(a % kStatesPerBlock) *
+  return state_blocks_[static_cast<std::size_t>(id / kStatesPerBlock)].get() +
+         static_cast<std::size_t>(id % kStatesPerBlock) *
              static_cast<std::size_t>(stride_);
 }
 
@@ -302,21 +275,23 @@ void TargetTables::fill_row_from_state(const StateData& s,
   meta[2] = s.const_class;
 }
 
-void TargetTables::ensure_state_index_locked() const {
-  if (state_index_seeded_) return;
-  state_index_seeded_ = true;
-  for (int id = 0; id < base_state_count_; ++id)
-    state_index_.emplace(
-        RowKey{base_rows_ + static_cast<std::size_t>(id) *
-                                static_cast<std::size_t>(stride_)},
-        id);
+bool TargetTables::row_in_bounds(const std::int32_t* row) const {
+  const std::int32_t rules = static_cast<std::int32_t>(constrained_rule_.size());
+  for (int i = 0; i < nt_count_; ++i) {
+    const std::int32_t r = row[nt_count_ + i];
+    if (r < -1 || r >= rules) return false;
+  }
+  const std::int32_t* meta = row + stride_ - 3;
+  return meta[1] >= -1 &&
+         meta[1] < static_cast<std::int32_t>(fit_widths_.size()) &&
+         meta[2] >= -1 &&
+         meta[2] < static_cast<std::int32_t>(const_values_.size());
 }
 
 int TargetTables::intern_row_locked(const std::int32_t* row) const {
-  ensure_state_index_locked();
   auto it = state_index_.find(RowKey{row});
   if (it != state_index_.end()) return it->second;
-  if ((state_count_ - base_state_count_) % kStatesPerBlock == 0)
+  if (state_count_ % kStatesPerBlock == 0)
     state_blocks_.push_back(std::make_unique<std::int32_t[]>(
         static_cast<std::size_t>(kStatesPerBlock) *
         static_cast<std::size_t>(stride_)));
@@ -509,505 +484,6 @@ int TargetTables::compute_const_state_locked(int fit_index,
   return intern_row_locked(row);
 }
 
-// --- frozen fast path -------------------------------------------------------
-
-bool TargetTables::FrozenTables::lookup(TermId term, const int* children,
-                                        std::size_t arity, Transition& out,
-                                        std::int32_t* slot_out) const {
-  if (term < 0 || static_cast<std::size_t>(term) >= op_begin.size())
-    return false;
-  for (std::int32_t oi = op_begin[static_cast<std::size_t>(term)];
-       oi < op_end[static_cast<std::size_t>(term)]; ++oi) {
-    const Op& op = ops[static_cast<std::size_t>(oi)];
-    if (static_cast<std::size_t>(op.arity) != arity) continue;
-    if (arity == 0) {
-      if (!op.has_leaf) return false;
-      out = op.leaf;
-      if (slot_out) *slot_out = op.slot_base;
-      return true;
-    }
-    const std::int32_t* maps = op.maps.data();
-    std::int32_t row = 0;
-    for (std::size_t p = 0; p + 1 < arity; ++p) {
-      const unsigned s = static_cast<unsigned>(children[p]);
-      if (s >= static_cast<unsigned>(state_count)) return false;
-      std::int32_t idx = maps[p * static_cast<std::size_t>(state_count) + s];
-      if (idx < 0) return false;
-      row = row * op.dims[p] + idx;
-    }
-    const unsigned s = static_cast<unsigned>(children[arity - 1]);
-    if (s >= static_cast<unsigned>(state_count)) return false;
-    std::int32_t col =
-        maps[(arity - 1) * static_cast<std::size_t>(state_count) + s];
-    if (col < 0) return false;
-    std::size_t slot = static_cast<std::size_t>(
-        op.disp[static_cast<std::size_t>(row)] + col);
-    if (slot >= op.check.size() || op.check[slot] != row) return false;
-    out.state = op.val_state[slot];
-    out.delta = op.val_delta[slot];
-    if (slot_out) *slot_out = op.slot_base + static_cast<std::int32_t>(slot);
-    return true;
-  }
-  return false;
-}
-
-int TargetTables::FrozenTables::const_lookup(int fit_index,
-                                             int const_class) const {
-  std::size_t idx = static_cast<std::size_t>(fit_index + 1) *
-                        static_cast<std::size_t>(cc_dim) +
-                    static_cast<std::size_t>(const_class + 1);
-  if (idx >= const_state.size()) return -1;
-  return const_state[idx];
-}
-
-// Pool layout (all host int32s; written to disk verbatim, so everything is
-// an offset — never a pointer):
-//   header[12]: byte-order marker, state_count, stride, fit_dim, cc_dim,
-//               term_count, op_count, transitions, slot_count, 3 reserved
-//   state rows      [state_count * stride]
-//   const_state     [fit_dim * cc_dim]
-//   op_begin        [term_count]
-//   op_end          [term_count]
-//   per op:
-//     header[8]: term, arity, has_leaf, leaf_state, leaf_delta, slot_base,
-//                disp_len, check_len
-//     dims[arity]  maps[arity*state_count]  disp[disp_len]
-//     check[check_len]  val_state[check_len]  val_delta[check_len]
-void TargetTables::freeze_locked() const {
-  OBS_SPAN("burstab.freeze");
-  obs::metrics().counter("burstab.freeze").add(1);
-  // A mapped base must fold back into the hash maps first, or its
-  // transitions would vanish from the new snapshot.
-  absorb_pool_locked();
-
-  /// freeze-time staging of one Op (mutable vectors; packed into the pool
-  /// once the displacement tables are final).
-  struct OpBuild {
-    std::int32_t term = -1;
-    std::int32_t arity = 0;
-    bool has_leaf = false;
-    Transition leaf{};
-    std::int32_t slot_base = 0;
-    std::vector<std::int32_t> dims, maps, disp, check, val_state, val_delta;
-  };
-
-  const std::size_t fit_dim = fit_widths_.size() + 1;
-  const int ccd = static_cast<int>(const_values_.size()) + 1;
-  std::vector<std::int32_t> const_state(
-      fit_dim * static_cast<std::size_t>(ccd), -1);
-  for (const auto& [key, sid] : const_state_by_pair_) {
-    std::size_t fit1 = static_cast<std::size_t>(key >> 32);
-    std::size_t cc1 = static_cast<std::size_t>(key & 0xffffffff);
-    const_state[fit1 * static_cast<std::size_t>(ccd) + cc1] = sid;
-  }
-
-  // Bucket the memoised transitions by (term, arity).
-  const std::size_t terms = rules_by_terminal_.size();
-  struct Group {
-    std::vector<const std::pair<const TransKey, Transition>*> entries;
-  };
-  std::vector<std::vector<std::pair<int, Group>>> by_term(terms);  // (arity,)
-  for (const auto& entry : trans_) {
-    const TransKey& key = entry.first;
-    if (key.term < 0 || static_cast<std::size_t>(key.term) >= terms) continue;
-    auto& groups = by_term[static_cast<std::size_t>(key.term)];
-    const int arity = static_cast<int>(key.children.size());
-    auto it = std::find_if(groups.begin(), groups.end(),
-                           [&](const auto& g) { return g.first == arity; });
-    if (it == groups.end()) {
-      groups.emplace_back(arity, Group{});
-      it = groups.end() - 1;
-    }
-    it->second.entries.push_back(&entry);
-  }
-
-  std::vector<std::int32_t> op_begin(terms, 0);
-  std::vector<std::int32_t> op_end(terms, 0);
-  std::vector<OpBuild> built;
-  std::size_t transitions = 0;
-  const std::size_t sc = static_cast<std::size_t>(state_count_);
-  // Snapshot-global transition-slot numbering (coverage identity): each op
-  // owns a contiguous span — one slot for a leaf, check.size() slots for a
-  // packed op (holes where check stays -1 are simply never hit).
-  std::size_t slot_running = 0;
-  for (std::size_t t = 0; t < terms; ++t) {
-    op_begin[t] = static_cast<std::int32_t>(built.size());
-    for (auto& [arity, group] : by_term[t]) {
-      OpBuild op;
-      op.term = static_cast<std::int32_t>(t);
-      op.arity = arity;
-      if (arity == 0) {
-        op.has_leaf = true;
-        op.leaf = group.entries.front()->second;
-        op.slot_base = static_cast<std::int32_t>(slot_running);
-        slot_running += 1;
-        transitions += 1;
-        built.push_back(std::move(op));
-        continue;
-      }
-      const std::size_t k = static_cast<std::size_t>(arity);
-      // Chase-style index maps: per child position, child state -> compact
-      // index over the states actually seen there.
-      op.dims.assign(k, 0);
-      op.maps.assign(k * sc, -1);
-      for (const auto* e : group.entries)
-        for (std::size_t p = 0; p < k; ++p) {
-          std::int32_t& slot = op.maps[p * sc + static_cast<std::size_t>(
-                                                    e->first.children[p])];
-          if (slot < 0) slot = op.dims[p]++;
-        }
-      std::size_t row_count = 1;
-      for (std::size_t p = 0; p + 1 < k; ++p)
-        row_count *= static_cast<std::size_t>(op.dims[p]);
-      const std::size_t col_count = static_cast<std::size_t>(op.dims[k - 1]);
-      if (row_count > kMaxFrozenRows) continue;  // stays on the hash path
-
-      // Row-displacement packing: rows (all but the last child index,
-      // flattened) share one value array; a check column verifies the
-      // probed slot belongs to the probing row.
-      std::vector<std::vector<std::pair<std::int32_t, Transition>>> rows(
-          row_count);
-      for (const auto* e : group.entries) {
-        std::int32_t row = 0;
-        for (std::size_t p = 0; p + 1 < k; ++p)
-          row = row * op.dims[p] +
-                op.maps[p * sc +
-                        static_cast<std::size_t>(e->first.children[p])];
-        std::int32_t col =
-            op.maps[(k - 1) * sc +
-                    static_cast<std::size_t>(e->first.children[k - 1])];
-        rows[static_cast<std::size_t>(row)].emplace_back(col, e->second);
-      }
-      std::vector<std::size_t> order(row_count);
-      std::iota(order.begin(), order.end(), 0);
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return rows[a].size() > rows[b].size();
-                       });
-      op.disp.assign(row_count, 0);
-      op.check.assign(col_count, -1);
-      op.val_state.assign(col_count, -1);
-      op.val_delta.assign(col_count, 0);
-      for (std::size_t r : order) {
-        if (rows[r].empty()) continue;
-        std::size_t d = 0;
-        for (;; ++d) {
-          bool fits = true;
-          for (const auto& [col, tr] : rows[r]) {
-            (void)tr;
-            std::size_t slot = d + static_cast<std::size_t>(col);
-            if (slot < op.check.size() && op.check[slot] != -1) {
-              fits = false;
-              break;
-            }
-          }
-          if (fits) break;
-        }
-        std::size_t need = d + col_count;
-        if (op.check.size() < need) {
-          op.check.resize(need, -1);
-          op.val_state.resize(need, -1);
-          op.val_delta.resize(need, 0);
-        }
-        op.disp[r] = static_cast<std::int32_t>(d);
-        for (const auto& [col, tr] : rows[r]) {
-          std::size_t slot = d + static_cast<std::size_t>(col);
-          op.check[slot] = static_cast<std::int32_t>(r);
-          op.val_state[slot] = tr.state;
-          op.val_delta[slot] = tr.delta;
-        }
-        transitions += rows[r].size();
-      }
-      op.slot_base = static_cast<std::int32_t>(slot_running);
-      slot_running += op.check.size();
-      built.push_back(std::move(op));
-    }
-    op_end[t] = static_cast<std::int32_t>(built.size());
-  }
-
-  // Pack everything into one position-independent pool and publish the
-  // snapshot as views over it.
-  std::size_t words = kPoolHeaderWords +
-                      sc * static_cast<std::size_t>(stride_) +
-                      const_state.size() + 2 * terms;
-  for (const OpBuild& b : built)
-    words += kPoolOpHeaderWords + b.dims.size() + b.maps.size() +
-             b.disp.size() + 3 * b.check.size();
-
-  auto f = std::make_unique<FrozenTables>();
-  std::vector<std::int32_t>& pool = f->pool;
-  pool.reserve(words);
-  pool.push_back(kPoolByteOrder);
-  pool.push_back(state_count_);
-  pool.push_back(stride_);
-  pool.push_back(static_cast<std::int32_t>(fit_dim));
-  pool.push_back(ccd);
-  pool.push_back(static_cast<std::int32_t>(terms));
-  pool.push_back(static_cast<std::int32_t>(built.size()));
-  pool.push_back(static_cast<std::int32_t>(transitions));
-  pool.push_back(static_cast<std::int32_t>(slot_running));
-  pool.insert(pool.end(), 3, 0);  // reserved
-  for (int id = 0; id < state_count_; ++id) {
-    const std::int32_t* row = state_row_locked(id);
-    pool.insert(pool.end(), row, row + stride_);
-  }
-  pool.insert(pool.end(), const_state.begin(), const_state.end());
-  pool.insert(pool.end(), op_begin.begin(), op_begin.end());
-  pool.insert(pool.end(), op_end.begin(), op_end.end());
-  for (const OpBuild& b : built) {
-    pool.push_back(b.term);
-    pool.push_back(b.arity);
-    pool.push_back(b.has_leaf ? 1 : 0);
-    pool.push_back(b.leaf.state);
-    pool.push_back(b.leaf.delta);
-    pool.push_back(b.slot_base);
-    pool.push_back(static_cast<std::int32_t>(b.disp.size()));
-    pool.push_back(static_cast<std::int32_t>(b.check.size()));
-    pool.insert(pool.end(), b.dims.begin(), b.dims.end());
-    pool.insert(pool.end(), b.maps.begin(), b.maps.end());
-    pool.insert(pool.end(), b.disp.begin(), b.disp.end());
-    pool.insert(pool.end(), b.check.begin(), b.check.end());
-    pool.insert(pool.end(), b.val_state.begin(), b.val_state.end());
-    pool.insert(pool.end(), b.val_delta.begin(), b.val_delta.end());
-  }
-  assert(pool.size() == words);
-  bool ok = f->init_from_pool(pool.data(), pool.size(), stride_, terms,
-                              fit_dim, ccd);
-  assert(ok && "self-built pool must validate");
-  if (!ok) return;  // release builds: keep the previous snapshot
-
-  frozen_history_.push_back(std::move(f));
-  frozen_ptr_.store(frozen_history_.back().get(), std::memory_order_release);
-  frozen_misses_.store(0, std::memory_order_relaxed);
-  frozen_source_transitions_ = trans_.size();
-  frozen_source_const_ = const_state_by_pair_.size();
-  ++freeze_count_;
-}
-
-bool TargetTables::FrozenTables::init_from_pool(const std::int32_t* w,
-                                                std::size_t word_count,
-                                                int stride,
-                                                std::size_t term_count,
-                                                std::size_t fit_dim_expected,
-                                                int cc_dim_expected) {
-  if (word_count < kPoolHeaderWords) return false;
-  if (w[0] != kPoolByteOrder) return false;
-  const std::int32_t sc = w[1];
-  if (sc < 0 || sc > (1 << 22)) return false;
-  if (w[2] != stride) return false;
-  if (w[3] != static_cast<std::int32_t>(fit_dim_expected)) return false;
-  if (w[4] != cc_dim_expected) return false;
-  if (w[5] != static_cast<std::int32_t>(term_count)) return false;
-  const std::int32_t op_count = w[6];
-  if (op_count < 0 || w[7] < 0 || w[8] < 0) return false;
-  state_count = sc;
-  cc_dim = cc_dim_expected;
-  transitions = static_cast<std::size_t>(w[7]);
-  slot_count = static_cast<std::size_t>(w[8]);
-  pool_data = w;
-  pool_words = word_count;
-
-  std::size_t pos = kPoolHeaderWords;
-  auto span = [&](std::size_t len, Span32& out) -> bool {
-    if (len > word_count - pos) return false;
-    out = Span32{w + pos, len};
-    pos += len;
-    return true;
-  };
-
-  const std::size_t scz = static_cast<std::size_t>(sc);
-  const std::size_t stridez = static_cast<std::size_t>(stride);
-  if (scz * stridez > word_count - pos) return false;
-  rows.resize(scz);
-  for (std::size_t i = 0; i < scz; ++i) {
-    const std::int32_t* row = w + pos + i * stridez;
-    // The meta words index fit_widths_ / const_values_ downstream — bound
-    // them here so a corrupt blob cannot steer reads out of those arrays.
-    const std::int32_t* meta = row + stridez - 3;
-    if (meta[1] < -1 || meta[1] + 1 >= static_cast<std::int32_t>(fit_dim_expected))
-      return false;
-    if (meta[2] < -1 || meta[2] + 1 >= cc_dim_expected) return false;
-    rows[i] = row;
-  }
-  pos += scz * stridez;
-
-  if (!span(fit_dim_expected * static_cast<std::size_t>(cc_dim_expected),
-            const_state))
-    return false;
-  for (std::size_t i = 0; i < const_state.size(); ++i)
-    if (const_state[i] < -1 || const_state[i] >= sc) return false;
-  if (!span(term_count, op_begin) || !span(term_count, op_end)) return false;
-  for (std::size_t t = 0; t < term_count; ++t)
-    if (op_begin[t] < 0 || op_begin[t] > op_end[t] || op_end[t] > op_count)
-      return false;
-
-  ops.reserve(static_cast<std::size_t>(op_count));
-  for (std::int32_t i = 0; i < op_count; ++i) {
-    if (kPoolOpHeaderWords > word_count - pos) return false;
-    Op op;
-    op.term = w[pos];
-    op.arity = w[pos + 1];
-    op.has_leaf = w[pos + 2] != 0;
-    op.leaf.state = w[pos + 3];
-    op.leaf.delta = w[pos + 4];
-    op.slot_base = w[pos + 5];
-    const std::int32_t disp_len = w[pos + 6];
-    const std::int32_t check_len = w[pos + 7];
-    pos += kPoolOpHeaderWords;
-    if (op.term < 0 || static_cast<std::size_t>(op.term) >= term_count)
-      return false;
-    if (op.arity < 0 || op.arity > 64) return false;
-    if (disp_len < 0 || check_len < 0) return false;
-    const std::size_t k = static_cast<std::size_t>(op.arity);
-    if (!span(k, op.dims) || !span(k * scz, op.maps) ||
-        !span(static_cast<std::size_t>(disp_len), op.disp) ||
-        !span(static_cast<std::size_t>(check_len), op.check) ||
-        !span(static_cast<std::size_t>(check_len), op.val_state) ||
-        !span(static_cast<std::size_t>(check_len), op.val_delta))
-      return false;
-    if (op.arity == 0) {
-      if (op.has_leaf && (op.leaf.state < 0 || op.leaf.state >= sc))
-        return false;
-    } else {
-      for (std::size_t p = 0; p < k; ++p) {
-        if (op.dims[p] < 0) return false;
-        for (std::size_t s = 0; s < scz; ++s) {
-          std::int32_t idx = op.maps[p * scz + s];
-          if (idx < -1 || idx >= op.dims[p]) return false;
-        }
-      }
-      const std::int32_t col_count = op.dims[k - 1];
-      for (std::size_t r = 0; r < op.disp.size(); ++r)
-        if (op.disp[r] < 0 || op.disp[r] + col_count > check_len)
-          return false;
-      for (std::size_t s = 0; s < op.check.size(); ++s) {
-        if (op.check[s] < -1 || op.check[s] >= disp_len) return false;
-        if (op.check[s] >= 0 &&
-            (op.val_state[s] < 0 || op.val_state[s] >= sc))
-          return false;
-      }
-    }
-    ops.push_back(op);
-  }
-  for (std::size_t t = 0; t < term_count; ++t)
-    for (std::int32_t oi = op_begin[t]; oi < op_end[t]; ++oi)
-      if (ops[static_cast<std::size_t>(oi)].term !=
-          static_cast<std::int32_t>(t))
-        return false;
-  return pos == word_count;
-}
-
-void TargetTables::adopt_pool_locked(std::unique_ptr<FrozenTables> f) {
-  base_state_count_ = f->state_count;
-  state_count_ = f->state_count;
-  base_rows_ = f->rows.empty() ? nullptr : f->rows.front();
-  state_index_seeded_ = base_state_count_ == 0;
-  pool_absorbed_ = false;
-  frozen_source_transitions_ = 0;
-  frozen_source_const_ = 0;
-  frozen_misses_.store(0, std::memory_order_relaxed);
-  frozen_history_.push_back(std::move(f));
-  frozen_ptr_.store(frozen_history_.back().get(), std::memory_order_release);
-  // freeze_count_ stays 0: a warm load performs no freeze — stats().freezes
-  // reports how many snapshot compactions this process actually ran.
-}
-
-void TargetTables::absorb_pool_locked() const {
-  if (pool_absorbed_) return;
-  pool_absorbed_ = true;
-  const FrozenTables& f = *frozen_history_.front();
-  const std::size_t scz = static_cast<std::size_t>(f.state_count);
-  for (const FrozenTables::Op& op : f.ops) {
-    if (op.arity == 0) {
-      if (op.has_leaf)
-        trans_.emplace(TransKey{op.term, {}}, op.leaf);
-      continue;
-    }
-    const std::size_t k = static_cast<std::size_t>(op.arity);
-    // Inverse of the Chase maps: compact index -> child state (injective by
-    // construction — each index was assigned to exactly one first-seen
-    // state).
-    std::vector<std::vector<int>> inv(k);
-    for (std::size_t p = 0; p < k; ++p) {
-      inv[p].assign(static_cast<std::size_t>(op.dims[p]), -1);
-      for (std::size_t s = 0; s < scz; ++s) {
-        std::int32_t idx = op.maps[p * scz + s];
-        if (idx >= 0 && inv[p][static_cast<std::size_t>(idx)] < 0)
-          inv[p][static_cast<std::size_t>(idx)] = static_cast<int>(s);
-      }
-    }
-    for (std::size_t slot = 0; slot < op.check.size(); ++slot) {
-      std::int32_t row = op.check[slot];
-      if (row < 0) continue;
-      std::int32_t col = static_cast<std::int32_t>(slot) -
-                         op.disp[static_cast<std::size_t>(row)];
-      if (col < 0 || col >= op.dims[k - 1]) continue;
-      TransKey key;
-      key.term = op.term;
-      key.children.resize(k);
-      // Mixed-radix decode of the flattened row (digit p has radix
-      // dims[p]), inverting freeze's row = row * dims[p] + idx.
-      std::int32_t rest = row;
-      bool valid = true;
-      for (std::size_t p = k - 1; p-- > 0;) {
-        std::int32_t idx = rest % op.dims[p];
-        rest /= op.dims[p];
-        int s = inv[p][static_cast<std::size_t>(idx)];
-        if (s < 0) valid = false;
-        key.children[p] = s;
-      }
-      int last = inv[k - 1][static_cast<std::size_t>(col)];
-      if (last < 0) valid = false;
-      key.children[k - 1] = last;
-      if (!valid) continue;
-      trans_.emplace(std::move(key),
-                     Transition{op.val_state[slot], op.val_delta[slot]});
-    }
-  }
-  const std::size_t fit_dim =
-      f.cc_dim > 0 ? f.const_state.size() / static_cast<std::size_t>(f.cc_dim)
-                   : 0;
-  for (std::size_t fit1 = 0; fit1 < fit_dim; ++fit1)
-    for (std::size_t cc1 = 0; cc1 < static_cast<std::size_t>(f.cc_dim);
-         ++cc1) {
-      std::int32_t sid =
-          f.const_state[fit1 * static_cast<std::size_t>(f.cc_dim) + cc1];
-      if (sid < 0) continue;
-      std::int64_t key = (static_cast<std::int64_t>(fit1) << 32) |
-                         static_cast<std::int64_t>(cc1);
-      const_state_by_pair_.emplace(key, sid);
-    }
-}
-
-void TargetTables::freeze() const {
-  std::unique_lock lock(mu_);
-  freeze_locked();
-}
-
-void TargetTables::count_miss_and_maybe_refreeze(
-    const FrozenTables* f) const {
-  if (!freeze_enabled_ || f == nullptr) return;
-  obs::metrics().counter("burstab.frozen_miss").add(1);
-  std::uint64_t n = frozen_misses_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (n < refreeze_misses_) return;
-  std::unique_lock lock(mu_);
-  // Raced re-check: another thread may have refrozen (and reset the
-  // counter) while this one waited for the lock.
-  if (frozen_misses_.load(std::memory_order_relaxed) < refreeze_misses_)
-    return;
-  // Superseded snapshots are retained for the tables' lifetime (lock-free
-  // readers may still hold them), so re-freezing must stay bounded: skip
-  // when nothing new would fold in (misses against an operator freeze()
-  // can never cover, e.g. past kMaxFrozenRows) and stop churning past a
-  // hard snapshot cap — the memoised hash path keeps serving correctly.
-  if (trans_.size() == frozen_source_transitions_ ||
-      freeze_count_ >= kMaxFreezes) {
-    frozen_misses_.store(0, std::memory_order_relaxed);
-    return;
-  }
-  freeze_locked();
-}
-
 // --- parser-facing lookups --------------------------------------------------
 
 int TargetTables::fit_index_of(std::int64_t value) const {
@@ -1023,76 +499,43 @@ int TargetTables::const_class_index(std::int64_t value) const {
 }
 
 int TargetTables::const_leaf_state(std::int64_t value) const {
-  int fit_index = fit_index_of(value);
-  int const_class = const_class_index(value);
-  const FrozenTables* f = frozen();
-  if (f) {
-    int sid = f->const_lookup(fit_index, const_class);
-    if (sid >= 0) return sid;
-  }
-  std::int64_t key = const_pair_key(fit_index, const_class);
+  const int fit_index = fit_index_of(value);
+  const int const_class = const_class_index(value);
+  const std::int64_t key = const_pair_key(fit_index, const_class);
   {
     std::shared_lock lock(mu_);
     auto it = const_state_by_pair_.find(key);
-    if (it != const_state_by_pair_.end()) {
-      int sid = it->second;
-      lock.unlock();
-      count_miss_and_maybe_refreeze(f);
-      return sid;
-    }
+    if (it != const_state_by_pair_.end()) return it->second;
   }
-  int id;
-  {
-    std::unique_lock lock(mu_);
-    auto it = const_state_by_pair_.find(key);
-    if (it != const_state_by_pair_.end()) {
-      id = it->second;
-    } else {
-      id = compute_const_state_locked(fit_index, const_class);
-      const_state_by_pair_.emplace(key, id);
-    }
-  }
-  count_miss_and_maybe_refreeze(f);
+  std::unique_lock lock(mu_);
+  auto it = const_state_by_pair_.find(key);
+  if (it != const_state_by_pair_.end()) return it->second;
+  const int id = compute_const_state_locked(fit_index, const_class);
+  const_state_by_pair_.emplace(key, id);
   return id;
+}
+
+const TargetTables::Transition& TargetTables::insert_transition_locked(
+    TransKey key, Transition t) const {
+  t.id = static_cast<int>(trans_by_id_.size());
+  auto [it, inserted] = trans_.emplace(std::move(key), t);
+  if (inserted) trans_by_id_.push_back(&*it);
+  return it->second;
 }
 
 TargetTables::Transition TargetTables::transition(
     TermId term, const std::vector<int>& children) const {
-  const FrozenTables* f = frozen();
-  if (f) {
-    Transition t;
-    if (f->lookup(term, children.data(), children.size(), t)) return t;
-  }
-  return transition_cold(term, children);
-}
-
-TargetTables::Transition TargetTables::transition_cold(
-    TermId term, const std::vector<int>& children) const {
-  const FrozenTables* f = frozen();
   TransKeyView view{term, &children};
   {
     std::shared_lock lock(mu_);
     auto it = trans_.find(view);
-    if (it != trans_.end()) {
-      Transition t = it->second;
-      lock.unlock();
-      count_miss_and_maybe_refreeze(f);
-      return t;
-    }
+    if (it != trans_.end()) return it->second;
   }
-  Transition t;
-  {
-    std::unique_lock lock(mu_);
-    auto it = trans_.find(view);
-    if (it != trans_.end()) {
-      t = it->second;
-    } else {
-      t = compute_transition_locked(term, children);
-      trans_.emplace(TransKey{term, children}, t);
-    }
-  }
-  count_miss_and_maybe_refreeze(f);
-  return t;
+  std::unique_lock lock(mu_);
+  auto it = trans_.find(view);
+  if (it != trans_.end()) return it->second;
+  return insert_transition_locked(TransKey{term, children},
+                                  compute_transition_locked(term, children));
 }
 
 const std::vector<int>& TargetTables::constrained_rules_of(TermId t) const {
@@ -1229,12 +672,6 @@ TableStats TargetTables::stats() const {
   s.table_rules = constrained_rule_.size() - constrained;
   s.const_classes = const_state_by_pair_.size();
   s.closure_complete = closure_complete_;
-  s.freezes = freeze_count_;
-  if (const FrozenTables* f = frozen_ptr_.load(std::memory_order_relaxed)) {
-    s.frozen_states = static_cast<std::size_t>(f->state_count);
-    s.frozen_transitions = f->transitions;
-  }
-  s.frozen_misses = frozen_misses_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -1265,8 +702,9 @@ void TargetTables::run_closure(const TableBuildOptions& options) {
     if (terminal_constrained_[t]) continue;
     TransKey key{static_cast<TermId>(t), no_children};
     if (!trans_.count(key))
-      trans_.emplace(key, compute_transition_locked(static_cast<TermId>(t),
-                                                    no_children));
+      insert_transition_locked(
+          std::move(key),
+          compute_transition_locked(static_cast<TermId>(t), no_children));
   }
 
   // Bottom-up closure: combine known states under every operator arity until
@@ -1309,9 +747,9 @@ void TargetTables::run_closure(const TableBuildOptions& options) {
             if (!has_new) return;
             TransKey key{static_cast<TermId>(t), tuple};
             if (trans_.count(key)) return;
-            trans_.emplace(std::move(key),
-                           compute_transition_locked(
-                               static_cast<TermId>(t), tuple));
+            insert_transition_locked(
+                std::move(key),
+                compute_transition_locked(static_cast<TermId>(t), tuple));
             return;
           }
           for (std::size_t sid = 0; sid < frontier_end; ++sid) {
@@ -1349,53 +787,24 @@ void TargetTables::run_closure(const TableBuildOptions& options) {
     frontier_begin = frontier_end;
   }
   closure_complete_ = !out_of_budget;
-  if (freeze_enabled_) freeze_locked();
 }
 
 // --- persistence ------------------------------------------------------------
 
 namespace {
-// "BTR3": frozen tables persist their position-independent pool verbatim
-// (mmap-able, zero-copy); hash-mode tables keep the BTR2-era dynamic
-// states + transitions sections. The magic bump keeps stale blobs out.
-constexpr std::uint32_t kTablesMagic = 0x42545233;
-}
+// "BTR4": interned states, transitions in id order, #const leaf classes.
+// Blobs with an earlier magic read as malformed.
+constexpr std::uint32_t kTablesMagic = 0x42545234;
+}  // namespace
 
 void TargetTables::serialize(std::string& out) const {
-  // Exclusive (not shared) because serializing frozen tables may first fold
-  // pending dynamic fills into a fresh snapshot.
-  std::unique_lock lock(mu_);
+  std::shared_lock lock(mu_);
   ByteWriter w;
   w.u32(kTablesMagic);
   w.u64(fingerprint_);
   w.u32(static_cast<std::uint32_t>(nt_count_));
   w.u32(static_cast<std::uint32_t>(subpatterns_.size()));
   w.u8(closure_complete_ ? 1 : 0);
-  const FrozenTables* f = frozen_ptr_.load(std::memory_order_relaxed);
-  const bool frozen_mode = freeze_enabled_ && f != nullptr;
-  w.u8(frozen_mode ? 1 : 0);
-  if (frozen_mode) {
-    // The pool must cover every memoised entry. Transitions on operators
-    // past kMaxFrozenRows are the one exception: they stay hash-only and
-    // are re-derived on demand after a warm load (a perf footnote on a
-    // pathological operator, never a correctness issue).
-    if (trans_.size() != frozen_source_transitions_ ||
-        const_state_by_pair_.size() != frozen_source_const_) {
-      freeze_locked();
-      f = frozen_ptr_.load(std::memory_order_relaxed);
-    }
-    w.u32(static_cast<std::uint32_t>(f->pool_words));
-    // Pad so the pool lands 4-byte aligned relative to the start of `out`
-    // (the cache blob header is a multiple of 4 bytes, so payload-relative
-    // alignment is file-relative alignment — the mmap zero-copy condition).
-    std::size_t here = out.size() + w.bytes().size() + 1;  // + pad_len byte
-    std::uint8_t pad = static_cast<std::uint8_t>((4 - here % 4) % 4);
-    w.u8(pad);
-    for (std::uint8_t i = 0; i < pad; ++i) w.u8(0);
-    w.raw(f->pool_data, f->pool_words * sizeof(std::int32_t));
-    w.append_to(out);
-    return;
-  }
   w.u32(static_cast<std::uint32_t>(state_count_));
   const std::size_t payload =
       static_cast<std::size_t>(stride_) - 3;  // cost + rule + sub
@@ -1407,8 +816,11 @@ void TargetTables::serialize(std::string& out) const {
     w.i32(meta[1]);
     w.i32(meta[2]);
   }
-  w.u32(static_cast<std::uint32_t>(trans_.size()));
-  for (const auto& [key, t] : trans_) {
+  // Id order: deserialize() re-inserts in blob order, which hands out the
+  // same dense ids again.
+  w.u32(static_cast<std::uint32_t>(trans_by_id_.size()));
+  for (const TransMap::value_type* e : trans_by_id_) {
+    const auto& [key, t] = *e;
     w.i32(key.term);
     w.u32(static_cast<std::uint32_t>(key.children.size()));
     for (int c : key.children) w.i32(c);
@@ -1425,10 +837,9 @@ void TargetTables::serialize(std::string& out) const {
 
 std::unique_ptr<TargetTables> TargetTables::deserialize(
     const grammar::TreeGrammar& g, std::string_view blob,
-    std::size_t& offset, std::shared_ptr<const void> pin) {
+    std::size_t& offset) {
   TableBuildOptions no_precompute;
   no_precompute.precompute = false;
-  no_precompute.freeze = false;  // adopted below iff the blob was frozen
   auto tables = std::make_unique<TargetTables>(g, no_precompute);
 
   ByteReader r(blob, offset);
@@ -1438,47 +849,6 @@ std::unique_ptr<TargetTables> TargetTables::deserialize(
   if (r.u32() != static_cast<std::uint32_t>(tables->subpatterns_.size()))
     return nullptr;
   tables->closure_complete_ = r.u8() != 0;
-  const bool was_frozen = r.u8() != 0;
-  // Hash-mode blobs stay hash-mode; frozen blobs keep the re-freeze policy.
-  tables->freeze_enabled_ = was_frozen;
-  if (was_frozen) {
-    // Frozen pool: validate and adopt in place — no state re-interning, no
-    // transition rehash, no re-freeze. Zero-copy when the caller pins the
-    // blob's memory (mmap) and the pool is aligned; one memcpy otherwise.
-    OBS_SPAN("burstab.tables.map");
-    std::uint32_t n_words = r.u32();
-    std::uint8_t pad = r.u8();
-    if (!r.ok() || pad > 3) return nullptr;
-    for (std::uint8_t i = 0; i < pad; ++i) (void)r.u8();
-    if (!r.ok()) return nullptr;
-    const std::size_t pos = r.pos();
-    if (n_words > (blob.size() - pos) / sizeof(std::int32_t)) return nullptr;
-    const char* bytes = blob.data() + pos;
-    auto f = std::make_unique<FrozenTables>();
-    const std::int32_t* pool;
-    const bool aligned =
-        (reinterpret_cast<std::uintptr_t>(bytes) & 3u) == 0;
-    if (pin && aligned) {
-      pool = reinterpret_cast<const std::int32_t*>(bytes);
-      f->pin = std::move(pin);
-      obs::metrics().counter("burstab.tables.map_zero_copy").add(1);
-    } else {
-      f->pool.resize(n_words);
-      std::memcpy(f->pool.data(), bytes,
-                  static_cast<std::size_t>(n_words) * sizeof(std::int32_t));
-      pool = f->pool.data();
-      obs::metrics().counter("burstab.tables.map_copied").add(1);
-    }
-    if (!f->init_from_pool(pool, n_words, tables->stride_,
-                           tables->rules_by_terminal_.size(),
-                           tables->fit_widths_.size() + 1,
-                           static_cast<int>(tables->const_values_.size()) + 1))
-      return nullptr;
-    offset = pos + static_cast<std::size_t>(n_words) * sizeof(std::int32_t);
-    std::unique_lock lock(tables->mu_);
-    tables->adopt_pool_locked(std::move(f));
-    return tables;
-  }
   std::uint32_t n_states = r.u32();
   if (n_states > 1u << 22) return nullptr;
   const std::size_t payload =
@@ -1489,17 +859,19 @@ std::unique_ptr<TargetTables> TargetTables::deserialize(
     row[payload] = r.u8() != 0 ? 1 : 0;
     row[payload + 1] = r.i32();
     row[payload + 2] = r.i32();
-    if (!r.ok()) return nullptr;
+    if (!r.ok() || !tables->row_in_bounds(row.data())) return nullptr;
     if (tables->intern_row_locked(row.data()) != static_cast<int>(i))
       return nullptr;  // duplicate or reordered states: corrupt blob
   }
+  const std::size_t terms = tables->rules_by_terminal_.size();
   std::uint32_t n_trans = r.u32();
   if (n_trans > 1u << 24) return nullptr;
   for (std::uint32_t i = 0; i < n_trans && r.ok(); ++i) {
     TransKey key;
     key.term = r.i32();
     std::uint32_t k = r.u32();
-    if (k > 64) return nullptr;
+    if (key.term < 0 || static_cast<std::size_t>(key.term) >= terms || k > 64)
+      return nullptr;
     key.children.resize(k);
     for (std::uint32_t j = 0; j < k; ++j) key.children[j] = r.i32();
     Transition t;
@@ -1509,7 +881,9 @@ std::unique_ptr<TargetTables> TargetTables::deserialize(
       return nullptr;
     for (int c : key.children)
       if (c < 0 || c >= tables->state_count_) return nullptr;
-    tables->trans_.emplace(std::move(key), t);
+    if (tables->insert_transition_locked(std::move(key), t).id !=
+        static_cast<int>(i))
+      return nullptr;  // duplicate transition: corrupt blob
   }
   std::uint32_t n_const = r.u32();
   if (n_const > 1u << 22) return nullptr;

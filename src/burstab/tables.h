@@ -22,37 +22,18 @@
 // time; both populations are serialisable, so a persistent TargetCache warms
 // future runs to pure-lookup speed.
 //
-// Two storage layers serve those lookups:
+// The storage layout is private to tables.cpp:
 //
-//  * State signatures live in ONE flat interned arena (`states_flat_`
-//    blocks): every state is a fixed-stride row of int32s
+//  * State signatures live in ONE flat interned arena (`state_blocks_`):
+//    every state is a fixed-stride row of int32s
 //    [cost(nts) | rule(nts) | sub(subs) | meta(3)], block-allocated so row
 //    addresses never move. Signature hashing/comparison sweeps one
 //    contiguous row instead of chasing three vectors.
 //
-//  * freeze() compacts the populated transitions into an immutable
-//    FrozenTables snapshot — the Chase-style compressed form. Per operator
-//    and arity it builds child-position index maps (child state -> compact
-//    index, -1 = never seen in that position) and packs the resulting dense
-//    rows into a single row-displaced value array with a check column, so a
-//    warm lookup is: per-child map indexation, one displacement probe, one
-//    check compare — a handful of array reads with NO hashing and NO lock.
-//    The snapshot is published through an atomic pointer (superseded
-//    snapshots are retained, so readers are never invalidated); cold misses
-//    fall back to the memoised hash path and, past a miss budget
-//    (TableBuildOptions::refreeze_misses), trigger an incremental re-freeze
-//    that folds the dynamically accumulated entries into a fresh snapshot.
-//
-//    A frozen snapshot lives in ONE contiguous, position-independent int32
-//    pool (offsets only — the Op arrays are Span32 views into the pool), so
-//    serialize() writes the pool verbatim and deserialize() reconstitutes a
-//    snapshot by pointing views at the blob: a warm TargetCache reload is a
-//    validation pass plus O(states) pointer setup — no re-interning, no
-//    transition rehash, no re-freeze. With a pinned, aligned mapping (the
-//    cache's mmap tier) the pool is not even copied: N daemon processes
-//    share one read-only page set. Post-load dynamic fills accumulate on
-//    the hash path as usual; the first genuine re-freeze first absorbs the
-//    pool's transitions back into the hash map so nothing is lost.
+//  * Transitions live in one hash map keyed by (operator, child states).
+//    Each entry carries a dense id assigned at insertion; serialize() writes
+//    transitions in id order, so a warm reload keeps every id. Coverage maps
+//    index transitions by these ids.
 //
 // Rules carrying side-constraints that a finite state cannot encode — two
 // Imm leaves drawing the same instruction field, or two leaves of one
@@ -63,9 +44,7 @@
 // interpreter, tie-breaking included.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -87,28 +66,16 @@ struct TableBuildOptions {
   /// when either is hit; the remainder fills in dynamically at parse time.
   std::size_t max_states = 512;
   std::size_t max_transitions = 1u << 14;
-  /// Compact the tables into the frozen (dense, lock-free) form after the
-  /// eager closure / a warm-cache load, and re-freeze incrementally as
-  /// dynamic fills accumulate. Off: pure hash-map mode (the pre-freeze
-  /// engine; kept selectable for differential tests and benchmarks).
-  bool freeze = true;
-  /// Frozen-lookup misses tolerated before the next incremental re-freeze
-  /// folds the dynamically added states/transitions into a new snapshot.
-  std::size_t refreeze_misses = 64;
 };
 
 struct TableStats {
   std::size_t states = 0;
-  std::size_t transitions = 0;
+  std::size_t transitions = 0;        // = one past the largest transition id
   std::size_t subpatterns = 0;
   std::size_t table_rules = 0;        // rules encoded in the tables
   std::size_t constrained_rules = 0;  // rules left to the fallback matcher
   std::size_t const_classes = 0;      // distinct #const leaf behaviours seen
   bool closure_complete = false;      // eager closure finished within budget
-  std::size_t freezes = 0;             // snapshots built (0 = hash mode)
-  std::size_t frozen_states = 0;       // states covered by the live snapshot
-  std::size_t frozen_transitions = 0;  // transitions in the live snapshot
-  std::size_t frozen_misses = 0;       // misses since the live snapshot
 };
 
 /// Materialised state signature (construction, serialization and the
@@ -136,95 +103,14 @@ struct StateView {
   int const_class = -1;
 };
 
-/// Non-owning view over int32s inside a frozen pool (the frozen snapshot
-/// stores offsets, never pointers, so blobs are position-independent; the
-/// views are materialised once per pool adoption).
-struct Span32 {
-  const std::int32_t* ptr = nullptr;
-  std::size_t len = 0;
-
-  [[nodiscard]] const std::int32_t* data() const { return ptr; }
-  [[nodiscard]] std::size_t size() const { return len; }
-  [[nodiscard]] bool empty() const { return len == 0; }
-  std::int32_t operator[](std::size_t i) const { return ptr[i]; }
-};
-
 class TargetTables {
  public:
   struct Transition {
     int state = -1;
     int delta = 0;  // node cost base = sum of child bases + delta
-  };
-
-  /// The frozen (compressed, immutable) snapshot: Chase index maps plus a
-  /// row-displaced transition array per (operator, arity). Readers obtain
-  /// it via frozen() and probe without locking; every miss must fall back
-  /// to the owning TargetTables.
-  ///
-  /// All table data lives in one contiguous int32 pool (see
-  /// tables.cpp:pool layout); the members below are views into it. The pool
-  /// is owned (`pool` — built by freeze() or copied from a blob) or
-  /// borrowed from a pinned mapping (`pin` — the zero-copy mmap tier).
-  struct FrozenTables {
-    int state_count = 0;
-    std::vector<const std::int32_t*> rows;  // per state: flat signature row
-
-    // #const leaf states by (fit index + 1, const class + 1); -1 unknown.
-    int cc_dim = 0;
-    Span32 const_state;
-
-    struct Op {
-      std::int32_t term = -1;
-      std::int32_t arity = 0;
-      bool has_leaf = false;
-      Transition leaf{};                // arity == 0
-      /// First snapshot-global transition-slot id owned by this Op (leaf
-      /// ops own exactly one; packed ops own one per check/val column, with
-      /// holes where check is -1). Coverage maps index by these ids.
-      std::int32_t slot_base = 0;
-      Span32 dims;   // [arity] compact index counts
-      Span32 maps;   // arity x state_count -> index | -1
-      Span32 disp;   // row -> displacement into check
-      Span32 check;  // slot -> owning row | -1
-      Span32 val_state;
-      Span32 val_delta;
-    };
-    std::vector<Op> ops;  // sorted by term
-    Span32 op_begin;      // [term] -> ops slice
-    Span32 op_end;
-    std::size_t transitions = 0;
-    /// One past the largest slot id (sum of all Ops' slot spans, holes
-    /// included). Slot ids identify transitions within THIS snapshot only;
-    /// a re-freeze renumbers them.
-    std::size_t slot_count = 0;
-
-    /// Pool storage: exactly one of the two is set. `pin` keeps a shared
-    /// read-only mapping alive for the snapshot's lifetime. `pool_data` /
-    /// `pool_words` always view the whole pool (serialize writes it back
-    /// verbatim regardless of ownership).
-    std::vector<std::int32_t> pool;
-    std::shared_ptr<const void> pin;
-    const std::int32_t* pool_data = nullptr;
-    std::size_t pool_words = 0;
-
-    /// Points rows/const_state/ops at a pool and validates its structure
-    /// (every span in bounds, displacement invariants hold). `words` is the
-    /// pool length in int32s. False = malformed pool; the snapshot must be
-    /// discarded.
-    [[nodiscard]] bool init_from_pool(const std::int32_t* words,
-                                      std::size_t word_count, int stride,
-                                      std::size_t term_count,
-                                      std::size_t fit_dim_expected,
-                                      int cc_dim_expected);
-
-    /// Lock-free warm-path probe; false = cold miss (caller falls back).
-    /// On a hit, `slot_out` (when non-null) receives the snapshot-global
-    /// transition-slot id — the coverage-map index of this transition.
-    [[nodiscard]] bool lookup(grammar::TermId term, const int* children,
-                              std::size_t arity, Transition& out,
-                              std::int32_t* slot_out = nullptr) const;
-    /// Lock-free #const-leaf probe; -1 = unknown pair.
-    [[nodiscard]] int const_lookup(int fit_index, int const_class) const;
+    /// Dense insertion-order id, stable across serialize/deserialize: the
+    /// coverage-map index of this transition.
+    int id = -1;
   };
 
   /// Compiles the grammar into tables. The grammar may be moved afterwards
@@ -237,19 +123,13 @@ class TargetTables {
   TargetTables& operator=(const TargetTables&) = delete;
 
   /// State for a "#const" leaf holding `value` (memoised per behaviour
-  /// class, not per value). Lock-free once the pair is frozen.
+  /// class, not per value).
   [[nodiscard]] int const_leaf_state(std::int64_t value) const;
 
   /// State + base delta for an operator node over already-labelled children.
-  /// Probes the frozen snapshot first; computes and memoises the entry on
-  /// first use.
+  /// Computes and memoises the entry on first use.
   [[nodiscard]] Transition transition(grammar::TermId term,
                                       const std::vector<int>& children) const;
-
-  /// The memoised (hash) path only — what transition() runs after a frozen
-  /// miss. Exposed so the parser can inline the frozen probe itself.
-  [[nodiscard]] Transition transition_cold(
-      grammar::TermId term, const std::vector<int>& children) const;
 
   /// Interns an externally computed signature (fallback path) and returns
   /// its state id. Read-probes under the shared lock before escalating to
@@ -264,24 +144,6 @@ class TargetTables {
   /// but the returned pointers stay valid lock-free afterwards (rows are
   /// immutable and never move).
   [[nodiscard]] StateView state_view(int id) const;
-
-  /// The live frozen snapshot, or null when unfrozen. The pointer (and
-  /// every superseded snapshot) stays valid for the tables' lifetime.
-  [[nodiscard]] const FrozenTables* frozen() const {
-    return frozen_ptr_.load(std::memory_order_acquire);
-  }
-
-  /// View over a frozen row id (valid for ids < frozen()->state_count).
-  [[nodiscard]] StateView frozen_state_view(const FrozenTables& f,
-                                            int id) const {
-    return view_of_row(f.rows[static_cast<std::size_t>(id)]);
-  }
-
-  /// Builds and publishes a fresh frozen snapshot from the current states
-  /// and transitions (idempotent; also run automatically by the eager
-  /// closure, warm deserialize and the miss-budget re-freeze policy when
-  /// TableBuildOptions::freeze is set).
-  void freeze() const;
 
   /// True if some rule rooted at this terminal carries a side-constraint
   /// (such nodes must be labelled through the fallback matcher).
@@ -358,24 +220,17 @@ class TargetTables {
   // --- persistence ---------------------------------------------------------
 
   /// Appends the tables to `out` (see serialize.h for the primitive
-  /// encoding). Frozen tables write their position-independent pool (after
-  /// folding any pending dynamic fills into a fresh snapshot); hash-mode
-  /// tables write the dynamic states + transitions sections. The pool is
-  /// 4-byte aligned relative to the start of `out`, so a caller that
-  /// prepends a header must keep it a multiple of 4 bytes for the mmap
-  /// zero-copy path to engage (misalignment only costs one copy).
+  /// encoding): the interned states in id order, the memoised transitions
+  /// in id order and the #const leaf classes.
   void serialize(std::string& out) const;
 
   /// Rebuilds tables for `g` from a blob produced by serialize(). Returns
   /// nullptr if the blob is malformed or was built for a different grammar.
-  /// A frozen blob lands directly in pure-array (mapped) mode with NO
-  /// re-interning, transition rehash or re-freeze; when `pin` is non-null
-  /// (a read-only mapping that must stay valid while the pin is held) and
-  /// the pool is 4-byte aligned, the snapshot borrows the blob's memory
-  /// zero-copy instead of copying the pool.
+  /// Every word that later indexes an array (rule ids, fit and const-class
+  /// indices, terminals, child and target states) is bounds-checked here.
   [[nodiscard]] static std::unique_ptr<TargetTables> deserialize(
       const grammar::TreeGrammar& g, std::string_view blob,
-      std::size_t& offset, std::shared_ptr<const void> pin = nullptr);
+      std::size_t& offset);
 
  private:
   struct TransKey {
@@ -417,6 +272,8 @@ class TargetTables {
       return a.term == b.term && a.children == *b.children;
     }
   };
+  using TransMap =
+      std::unordered_map<TransKey, Transition, TransKeyHash, TransKeyEq>;
   /// Interning key: a pointer to a full stride_-wide signature row, either
   /// inside the arena (stored keys) or a caller's scratch row (probes).
   struct RowKey {
@@ -452,37 +309,31 @@ class TargetTables {
   [[nodiscard]] StateView view_of_row(const std::int32_t* row) const;
   [[nodiscard]] const std::int32_t* state_row_locked(int id) const;
   void fill_row_from_state(const StateData& s, std::int32_t* row) const;
+  /// True if every index-bearing word of a signature row is in range (rule
+  /// ids, fit-width index, const-class index), so a corrupt blob cannot
+  /// steer reads out of those arrays.
+  [[nodiscard]] bool row_in_bounds(const std::int32_t* row) const;
 
   /// Match cost of pattern child `p` against child state row `s`;
   /// kInf = fail.
   [[nodiscard]] int rel_match_locked(const grammar::PatNode& p,
                                      const std::int32_t* s) const;
   [[nodiscard]] int intern_row_locked(const std::int32_t* row) const;
+  /// Memoises `t` under `key` with the next dense id and returns the
+  /// stored entry (the existing one, unchanged, if `key` is present).
+  const Transition& insert_transition_locked(TransKey key,
+                                             Transition t) const;
   [[nodiscard]] Transition compute_transition_locked(
       grammar::TermId term, const std::vector<int>& children) const;
   [[nodiscard]] int compute_const_state_locked(int fit_index,
                                                int const_class) const;
   void run_closure(const TableBuildOptions& options);
-  void freeze_locked() const;
-  void count_miss_and_maybe_refreeze(const FrozenTables* f) const;
-  /// Seeds state_index_ with the mapped base rows on first mutation (warm
-  /// loads defer the hashing until the fallback path actually needs it).
-  void ensure_state_index_locked() const;
-  /// Reconstructs the mapped pool's transitions and #const pairs into the
-  /// hash maps (inverse index maps + mixed-radix row decode) so a re-freeze
-  /// folds pool and dynamic entries together. Idempotent.
-  void absorb_pool_locked() const;
-  /// Publishes a deserialized pool snapshot as this table's base: states
-  /// < base_state_count_ are backed by the pool rather than the arena.
-  void adopt_pool_locked(std::unique_ptr<FrozenTables> f);
 
   // --- immutable after construction ---------------------------------------
   int nt_count_ = 0;
   int stride_ = 0;  // ints per state row: 2 * nts + subpatterns + 3 meta
   grammar::TermId const_term_ = -1;
   std::uint64_t fingerprint_ = 0;
-  bool freeze_enabled_ = true;
-  std::size_t refreeze_misses_ = 64;
   std::vector<std::vector<RulePlan>> rules_by_terminal_;   // [term]
   std::vector<std::vector<int>> constrained_by_terminal_;  // [term] rule ids
   std::vector<std::vector<ConstrainedPrecheck>>
@@ -503,33 +354,17 @@ class TargetTables {
   // --- mutable, guarded by mu_ ---------------------------------------------
   mutable std::shared_mutex mu_;
   /// Flat state arena: fixed-capacity blocks of stride_-wide rows, so row
-  /// addresses are stable across growth (lock-free frozen readers hold raw
-  /// row pointers).
+  /// addresses are stable across growth (StateViews hold raw row pointers).
   static constexpr int kStatesPerBlock = 256;
   mutable std::vector<std::unique_ptr<std::int32_t[]>> state_blocks_;
   mutable int state_count_ = 0;
-  /// Mapped (pool-backed) base: state ids < base_state_count_ resolve into
-  /// the adopted pool's contiguous row region instead of the arena. Zero
-  /// for tables that were never deserialized from a frozen blob.
-  mutable const std::int32_t* base_rows_ = nullptr;
-  mutable int base_state_count_ = 0;
-  mutable bool state_index_seeded_ = true;  // false after a mapped adopt
-  mutable bool pool_absorbed_ = true;       // false after a mapped adopt
   mutable std::unordered_map<RowKey, int, RowHash, RowEq> state_index_;
-  mutable std::unordered_map<TransKey, Transition, TransKeyHash, TransKeyEq>
-      trans_;
+  mutable TransMap trans_;
+  /// trans_ entries by id. Map nodes never move, so the pointers survive
+  /// rehashing; serialize() walks this to keep ids stable.
+  mutable std::vector<const TransMap::value_type*> trans_by_id_;
   mutable std::unordered_map<std::int64_t, int> const_state_by_pair_;
   mutable std::vector<std::int32_t> scratch_row_;  // intern staging, under mu_
-
-  // Frozen snapshots: the atomic points at the live one; superseded
-  // snapshots are retained so concurrent readers never dangle.
-  static constexpr std::size_t kMaxFreezes = 256;  // snapshot-churn bound
-  mutable std::deque<std::unique_ptr<FrozenTables>> frozen_history_;
-  mutable std::atomic<const FrozenTables*> frozen_ptr_{nullptr};
-  mutable std::atomic<std::uint64_t> frozen_misses_{0};
-  mutable std::size_t frozen_source_transitions_ = 0;
-  mutable std::size_t frozen_source_const_ = 0;
-  mutable std::size_t freeze_count_ = 0;
 };
 
 }  // namespace record::burstab

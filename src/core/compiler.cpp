@@ -9,19 +9,15 @@ namespace record::core {
 namespace {
 
 /// Refreshes a coverage map's denominators from the live tables (states and
-/// frozen transitions grow dynamically as the tables fill).
+/// transitions grow dynamically as the tables fill).
 void refresh_coverage_totals(obs::CoverageMap& cov,
                              const grammar::TreeGrammar& g,
                              const burstab::TargetTables* tables) {
-  std::uint64_t states = 0;
-  std::uint64_t transitions = 0;
-  if (tables) {
-    states = static_cast<std::uint64_t>(tables->stats().states);
-    if (const burstab::TargetTables::FrozenTables* f = tables->frozen())
-      transitions = static_cast<std::uint64_t>(f->transitions);
-  }
-  cov.set_totals(static_cast<std::uint64_t>(g.rules().size()), states,
-                 transitions);
+  burstab::TableStats st;
+  if (tables) st = tables->stats();
+  cov.set_totals(static_cast<std::uint64_t>(g.rules().size()),
+                 static_cast<std::uint64_t>(st.states),
+                 static_cast<std::uint64_t>(st.transitions));
 }
 
 }  // namespace
@@ -57,16 +53,10 @@ std::optional<CompileResult> Compiler::compile(
     cov = &obs::coverage().map_for(target_->processor, [&g, cov_tables]() {
       obs::CoverageMap::Config cfg;
       cfg.rules = g.rules().size();
-      std::size_t states = 0;
-      std::size_t slots = 0;
-      if (cov_tables) {
-        states = cov_tables->stats().states;
-        if (const burstab::TargetTables::FrozenTables* f =
-                cov_tables->frozen())
-          slots = f->slot_count;
-      }
-      cfg.states = states * 4 + 1024;
-      cfg.transitions = slots * 4 + 4096;
+      burstab::TableStats st;
+      if (cov_tables) st = cov_tables->stats();
+      cfg.states = st.states * 4 + 1024;
+      cfg.transitions = st.transitions * 4 + 4096;
       cfg.rule_names.reserve(cfg.rules);
       for (const grammar::Rule& r : g.rules())
         cfg.rule_names.push_back(grammar::rule_to_string(g, r));
@@ -129,8 +119,8 @@ std::optional<CompileResult> Compiler::compile(
                         cs.input_rts > emitted ? cs.input_rts - emitted : 0);
     cov->record_variant(obs::CoverageVariant::kCompactModeSet,
                         cs.mode_sets_inserted);
-    // Labelling may have grown the tables (or triggered a re-freeze);
-    // refresh the denominators so the snapshot ratios stay honest.
+    // Labelling may have grown the tables; refresh the denominators so the
+    // snapshot ratios stay honest.
     refresh_coverage_totals(*cov, target_->tree_grammar, tables);
   }
   if (!diags.ok()) {

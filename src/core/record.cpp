@@ -16,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "treeparse/emitc.h"
-#include "util/failpoint.h"
 #include "util/strings.h"
 
 namespace record::core {
@@ -50,13 +49,13 @@ std::string options_digest(const RetargetOptions& o) {
       "pipeline:v{};extract:depth={},routes={},prune={},procout={};"
       "grammar:elide_ext={},elide_low={},self_moves={};"
       "extend:commut={},std_rewrites={};"
-      "tables:{},precompute={},states={},trans={},freeze={}",
+      "tables:{},precompute={},states={},trans={}",
       kPipelineVersion, o.extract.limits.max_depth,
       o.extract.limits.max_routes_per_point, o.extract.prune_unsat,
       o.extract.include_proc_out, o.grammar.elide_extension_ops,
       o.grammar.elide_low_slices, o.grammar.skip_self_moves, o.commutativity,
       o.standard_rewrites, o.build_tables, o.tables.precompute,
-      o.tables.max_states, o.tables.max_transitions, o.tables.freeze);
+      o.tables.max_states, o.tables.max_transitions);
 }
 
 namespace {
@@ -128,23 +127,6 @@ std::optional<RetargetResult> Record::retarget(
       result.extend_stats = art->extend_stats;
       result.grammar_stats = art->grammar_stats;
       result.cache_hit = true;
-      if (!result.tables && options.build_tables) {
-        // Degradation tier: the entry's tables section was unusable but the
-        // grammar survived (cache.cpp salvages it under checksum cover), so
-        // rebuild tables from the grammar — far cheaper than re-running the
-        // whole pipeline. The "burstab.tables.rebuild" failpoint suppresses
-        // even that, leaving the interpreter engine (Engine::kAuto) as the
-        // final tier; either way the fallback edge is counted.
-        if (util::failpoint("burstab.tables.rebuild")) {
-          obs::metrics().counter("burstab.fallback.interpreter").add(1);
-        } else {
-          util::Timer tables_timer;
-          result.tables = std::make_shared<burstab::TargetTables>(
-              result.tree_grammar, options.tables);
-          result.times.record("tables", tables_timer.seconds());
-          obs::metrics().counter("burstab.fallback.tables_rebuilt").add(1);
-        }
-      }
       result.times.record("cacheload", timer.seconds());
       span.note("processor", result.processor);
       span.note("cache", "hit");

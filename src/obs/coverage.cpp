@@ -263,7 +263,7 @@ std::string coverage_report_text(const CoverageSnapshot& s) {
   append_ratio_line(out, "rules chosen", s.rules_chosen_covered(),
                     s.rules_total);
   append_ratio_line(out, "states", s.states_covered(), s.states_total);
-  append_ratio_line(out, "frozen transitions", s.transitions_covered(),
+  append_ratio_line(out, "transitions", s.transitions_covered(),
                     s.transitions_total);
   out += "  cold transitions: ";
   out += std::to_string(s.counts.cold_transitions);

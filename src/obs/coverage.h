@@ -6,7 +6,7 @@
 //     non-terminal at some node, whether or not the derivation uses it),
 //   * grammar rules CHOSEN in optimal derivations (what selection trusts),
 //   * interned BURS states assigned to subject nodes, and
-//   * frozen-table transition slots probed on the warm path,
+//   * BURS table transitions looked up, by their stable transition id,
 // plus variant counters for the rarely-taken compile-stage paths (spill
 // parks, caller saves, guard wraps, compaction merges, mode-set insertion,
 // promoted-precision retries) and overflow/cold counters so nothing is
@@ -55,7 +55,7 @@ inline constexpr std::size_t kCoverageVariantCount = 6;
 
 [[nodiscard]] std::string_view to_string(CoverageVariant v);
 
-/// Raw hit counts at snapshot time (plain values; index = id/slot).
+/// Raw hit counts at snapshot time (plain values; index = id).
 struct CoverageCounts {
   std::vector<std::uint64_t> rules_matched;
   std::vector<std::uint64_t> rules_chosen;
@@ -63,13 +63,13 @@ struct CoverageCounts {
   std::vector<std::uint64_t> transitions;
   std::array<std::uint64_t, kCoverageVariantCount> variants{};
   std::uint64_t state_overflow = 0;       // state id beyond map capacity
-  std::uint64_t transition_overflow = 0;  // slot beyond map capacity
-  std::uint64_t cold_transitions = 0;     // hash/merged-path lookups (no slot)
+  std::uint64_t transition_overflow = 0;  // id beyond map capacity
+  std::uint64_t cold_transitions = 0;     // merges, #const leaves (no id)
 };
 
 /// One target's coverage, frozen as plain values. `*_total` are the
 /// denominators known at snapshot time (rule count is exact; state and
-/// frozen-transition counts grow as tables fill dynamically and are
+/// transition counts grow as tables fill dynamically and are
 /// refreshed on every compile).
 struct CoverageSnapshot {
   std::string target;
@@ -142,8 +142,8 @@ class CoverageMap {
   void record_state(int id) {
     hit(states_.get(), states_cap_, id, distinct_states_, state_overflow_);
   }
-  void record_transition(int slot) {
-    hit(transitions_.get(), transitions_cap_, slot, distinct_transitions_,
+  void record_transition(int id) {
+    hit(transitions_.get(), transitions_cap_, id, distinct_transitions_,
         transition_overflow_);
   }
   void record_cold_transition() {

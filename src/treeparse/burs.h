@@ -175,7 +175,8 @@ class TreeParser {
   /// Attach a coverage map (null detaches): label_into then records every
   /// rule that wins some (node, non-terminal) cell. The interpreter has no
   /// interned states or table slots, so only rule coverage is fed here —
-  /// which is exactly what makes frozen-vs-hash coverage agreement testable.
+  /// which is exactly what makes interpreter-vs-tables coverage agreement
+  /// testable.
   void set_coverage(obs::CoverageMap* map) { coverage_ = map; }
 
   /// True if `value` can be encoded in an immediate field of `width` bits

@@ -3,8 +3,8 @@
 // discipline as src/obs/), so production binaries carry the sites for free.
 //
 // A site is one `if (util::failpoint("name")) <fail>;` at the place where a
-// real fault would surface (cache read, mmap, allocation, socket write,
-// worker job). Arming is external: the RECORD_FAILPOINTS environment
+// real fault would surface (cache open/read/write, allocation, socket
+// write, worker job). Arming is external: the RECORD_FAILPOINTS environment
 // variable (via failpoints_init_from_env), recordd's {"cmd":"failpoint"}
 // control command, or a test calling failpoint_arm directly.
 //

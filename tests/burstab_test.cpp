@@ -388,8 +388,8 @@ TEST_P(BurstabModel, SelectionListingsIdentical) {
       core::Record::retarget_model(GetParam(), core::RetargetOptions{}, diags);
   ASSERT_TRUE(target) << diags.str();
 
-  // The bench_selection_throughput accumulator shapes, per model
-  // (mem2 non-empty: multiply-accumulate terms, the DSP-style covers).
+  // Accumulator shapes per model (mem2 non-empty: multiply-accumulate
+  // terms, the DSP-style covers).
   struct Shape {
     const char* model;
     const char* acc;
@@ -428,26 +428,24 @@ TEST_P(BurstabModel, SelectionListingsIdentical) {
   b.let("acc", std::move(sum));
   ir::Program prog = b.take();
 
-  // Three engines side by side: the interpreter, the frozen (compressed,
-  // lock-free) tables the retarget ships by default, and a hash-mode build
-  // of the same tables (freeze disabled) — all listings bit-identical.
-  ASSERT_GE(target->tables->stats().freezes, 1u);
-  TableBuildOptions hash_mode;
-  hash_mode.freeze = false;
-  TargetTables hash_tables(target->tree_grammar, hash_mode);
-  EXPECT_EQ(hash_tables.stats().freezes, 0u);
+  // Three selectors side by side: the interpreter, the tables the
+  // retarget ships (eager closure) and tables filled purely on demand — all
+  // listings bit-identical.
+  TableBuildOptions lazy;
+  lazy.precompute = false;
+  TargetTables lazy_tables(target->tree_grammar, lazy);
 
   util::DiagnosticSink d1, d2, d3;
   select::CodeSelector interp(*target->base, target->tree_grammar, d1);
   select::CodeSelector tabular(*target->base, target->tree_grammar, d2,
                                target->tables.get());
-  select::CodeSelector hashed(*target->base, target->tree_grammar, d3,
-                              &hash_tables);
+  select::CodeSelector on_demand(*target->base, target->tree_grammar, d3,
+                                 &lazy_tables);
   EXPECT_EQ(interp.engine(), select::Engine::kInterpreter);
   EXPECT_EQ(tabular.engine(), select::Engine::kTables);
   auto ra = interp.select(prog);
   auto rb = tabular.select(prog);
-  auto rc = hashed.select(prog);
+  auto rc = on_demand.select(prog);
   ASSERT_TRUE(ra) << d1.str();
   ASSERT_TRUE(rb) << d2.str();
   ASSERT_TRUE(rc) << d3.str();
@@ -456,23 +454,22 @@ TEST_P(BurstabModel, SelectionListingsIdentical) {
   EXPECT_EQ(ra->listing(), rc->listing());
 }
 
-TEST_P(BurstabModel, FrozenAndHashModesAgreeOnRandomTrees) {
+TEST_P(BurstabModel, EagerAndLazyTablesAgreeOnRandomTrees) {
   util::DiagnosticSink diags;
   auto target =
       core::Record::retarget_model(GetParam(), core::RetargetOptions{}, diags);
   ASSERT_TRUE(target) << diags.str();
   ASSERT_NE(target->tables, nullptr);
-  ASSERT_GE(target->tables->stats().freezes, 1u);
-  TableBuildOptions hash_mode;
-  hash_mode.freeze = false;
-  TargetTables hash_tables(target->tree_grammar, hash_mode);
+  TableBuildOptions lazy;
+  lazy.precompute = false;
+  TargetTables lazy_tables(target->tree_grammar, lazy);
 
   RandomTreeGen gen(target->tree_grammar, 20260726);
   for (int i = 0; i < 60; ++i) {
     SubjectTree t = gen.make_assign(1 + i % 4);
-    // Both table modes against the interpreter on the same tree.
-    expect_engines_agree(target->tree_grammar, *target->tables, t, "frozen");
-    expect_engines_agree(target->tree_grammar, hash_tables, t, "hash");
+    // Eagerly closed and on-demand tables against the interpreter.
+    expect_engines_agree(target->tree_grammar, *target->tables, t, "eager");
+    expect_engines_agree(target->tree_grammar, lazy_tables, t, "lazy");
   }
 }
 
@@ -540,11 +537,7 @@ TEST(BurstabSerialize, TablesRoundTrip) {
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(offset, blob.size());
   EXPECT_EQ(loaded->stats().states, tables.stats().states);
-  // The blob carries a position-independent pool that is adopted as the live
-  // snapshot: every transition the writer held lands on the frozen side and
-  // the dynamic maps stay empty until a genuine cold miss.
-  EXPECT_EQ(loaded->stats().frozen_transitions, tables.stats().transitions);
-  EXPECT_EQ(loaded->stats().transitions, 0u);
+  EXPECT_EQ(loaded->stats().transitions, tables.stats().transitions);
   // Loaded tables parse identically.
   RandomTreeGen gen2(f.g, 5);
   for (int i = 0; i < 50; ++i) {
@@ -554,113 +547,57 @@ TEST(BurstabSerialize, TablesRoundTrip) {
     EXPECT_EQ(ra.ok, rb.ok);
     EXPECT_EQ(ra.root_cost, rb.root_cost);
   }
+  // Transitions travel under their ids: the same corpus hits the same ids,
+  // hit for hit, on both sides.
+  auto coverage_of = [&f](const TargetTables& t) {
+    obs::CoverageMap::Config cc;
+    cc.rules = f.g.rules().size();
+    cc.states = 4096;
+    cc.transitions = 4096;
+    obs::CoverageMap map("roundtrip", std::move(cc));
+    TableParser p(f.g, t);
+    p.set_coverage(&map);
+    RandomTreeGen replay(f.g, 5);
+    for (int i = 0; i < 50; ++i) (void)p.label(replay.make_assign(3));
+    return map.snapshot();
+  };
+  const obs::CoverageSnapshot before = coverage_of(tables);
+  const obs::CoverageSnapshot after = coverage_of(*loaded);
+  EXPECT_GT(before.transitions_covered(), 0u);
+  EXPECT_EQ(before.counts.transitions, after.counts.transitions);
+  EXPECT_EQ(loaded->stats().transitions, tables.stats().transitions);
 }
 
-TEST(FrozenLookup, TransitionEntryPointServesFrozenAndColdPaths) {
-  // The public transition() wrapper (frozen probe, then the memoised cold
-  // path) must answer identically in frozen, hash and dynamic modes.
+TEST(BurstabCoverage, RelabellingKeepsDistinctTransitions) {
+  // Transition ids are handed out once, at insertion, and never renumbered:
+  // labelling a corpus a second time may only hit ids already seen.
   PlainFixture f;
-  TargetTables frozen(f.g);  // eager closure + freeze
-  TableBuildOptions dyn;
-  dyn.precompute = false;
-  dyn.freeze = false;
-  TargetTables dynamic(f.g, dyn);
-  ASSERT_GE(frozen.stats().freezes, 1u);
-  ASSERT_EQ(dynamic.stats().freezes, 0u);
+  TableBuildOptions lazy;
+  lazy.precompute = false;  // every transition is created by labelling
+  TargetTables tables(f.g, lazy);
+  obs::CoverageMap::Config cc;
+  cc.rules = f.g.rules().size();
+  cc.states = 4096;
+  cc.transitions = 4096;
+  obs::CoverageMap map("relabel", std::move(cc));
+  TableParser parser(f.g, tables);
+  parser.set_coverage(&map);
+  auto label_corpus = [&] {
+    RandomTreeGen gen(f.g, 77);
+    for (int i = 0; i < 200; ++i)
+      (void)parser.label(gen.make_assign(1 + i % 5));
+  };
 
-  const std::vector<int> no_children;
-  TargetTables::Transition fa = frozen.transition(f.t_reg_a, no_children);
-  TargetTables::Transition da = dynamic.transition(f.t_reg_a, no_children);
-  EXPECT_EQ(frozen.state(fa.state), dynamic.state(da.state));
-  EXPECT_EQ(fa.delta, da.delta);
+  label_corpus();
+  const obs::CoverageSnapshot first = map.snapshot();
+  ASSERT_GT(first.transitions_covered(), 0u);
+  EXPECT_EQ(first.transitions_covered(), tables.stats().transitions);
+  EXPECT_EQ(first.counts.transition_overflow, 0u);
 
-  int fc = frozen.const_leaf_state(3);
-  int dc = dynamic.const_leaf_state(3);
-  std::vector<int> fkids{fa.state, fc};
-  std::vector<int> dkids{da.state, dc};
-  TargetTables::Transition fp = frozen.transition(f.t_plus, fkids);
-  TargetTables::Transition dp = dynamic.transition(f.t_plus, dkids);
-  EXPECT_EQ(frozen.state(fp.state), dynamic.state(dp.state));
-  EXPECT_EQ(fp.delta, dp.delta);
-  // Repeat lookups are stable (frozen hit / memoised hit).
-  TargetTables::Transition fp2 = frozen.transition(f.t_plus, fkids);
-  EXPECT_EQ(fp.state, fp2.state);
-  EXPECT_EQ(fp.delta, fp2.delta);
-}
-
-TEST(FrozenColdMiss, DynamicFillsDuringFrozenModeStayIdentical) {
-  // Freeze with an empty/tiny closure: almost every parse-time combination
-  // is a cold miss, must fall back to the memoised path, stay bit-identical
-  // to the interpreter, and (past the miss budget) fold into a re-frozen
-  // snapshot that subsequent lookups hit.
-  PlainFixture f;
-  TableBuildOptions tiny;
-  tiny.precompute = false;  // snapshot 0 is empty: everything misses
-  tiny.freeze = true;
-  tiny.refreeze_misses = 8;
-  TargetTables tables(f.g, tiny);
-  ASSERT_GE(tables.stats().freezes, 1u);
-  EXPECT_EQ(tables.stats().frozen_transitions, 0u);
-
-  RandomTreeGen gen(f.g, 77);
-  int parsed = 0;
-  for (int i = 0; i < 200; ++i) {
-    SubjectTree t = gen.make_assign(1 + i % 5);
-    if (expect_engines_agree(f.g, tables, t, "cold-miss")) ++parsed;
-  }
-  EXPECT_GT(parsed, 20);
-  TableStats st = tables.stats();
-  EXPECT_GT(st.freezes, 1u) << "miss budget never triggered a re-freeze";
-  EXPECT_GT(st.frozen_transitions, 0u);
-  // The re-frozen snapshot serves the same corpus without growing further:
-  // replay the identical trees and expect no new states or transitions.
-  std::size_t states_before = st.states, trans_before = st.transitions;
-  RandomTreeGen replay(f.g, 77);
-  for (int i = 0; i < 200; ++i) {
-    SubjectTree t = replay.make_assign(1 + i % 5);
-    expect_engines_agree(f.g, tables, t, "cold-miss-replay");
-  }
-  EXPECT_EQ(tables.stats().states, states_before);
-  EXPECT_EQ(tables.stats().transitions, trans_before);
-}
-
-TEST(BurstabSerialize, FrozenBlobLandsDirectlyInFrozenMode) {
-  PlainFixture f;
-  TargetTables tables(f.g);  // eager closure + freeze (defaults)
-  RandomTreeGen gen(f.g, 5);
-  for (int i = 0; i < 50; ++i) {
-    SubjectTree t = gen.make_assign(3);
-    TableParser p(f.g, tables);
-    (void)p.label(t);
-  }
-  ASSERT_GE(tables.stats().freezes, 1u);
-  std::string blob;
-  tables.serialize(blob);
-  std::size_t offset = 0;
-  std::unique_ptr<TargetTables> loaded =
-      TargetTables::deserialize(f.g, blob, offset);
-  ASSERT_NE(loaded, nullptr);
-  // The deserialized tables adopt the mmap-ready pool as the live snapshot:
-  // already frozen (pure-array mode), no compaction ran (freezes counts
-  // snapshots *built*, and adoption builds nothing), and the dynamic maps
-  // stay empty — nothing was deserialized into hash tables.
-  TableStats st = loaded->stats();
-  EXPECT_EQ(st.freezes, 0u);
-  EXPECT_EQ(st.frozen_states, st.states);
-  EXPECT_EQ(st.frozen_transitions, tables.stats().transitions);
-  EXPECT_EQ(st.transitions, 0u);
-
-  // A hash-mode blob stays hash-mode after a round trip.
-  TableBuildOptions hash_mode;
-  hash_mode.freeze = false;
-  TargetTables unfrozen(f.g, hash_mode);
-  std::string blob2;
-  unfrozen.serialize(blob2);
-  std::size_t offset2 = 0;
-  std::unique_ptr<TargetTables> loaded2 =
-      TargetTables::deserialize(f.g, blob2, offset2);
-  ASSERT_NE(loaded2, nullptr);
-  EXPECT_EQ(loaded2->stats().freezes, 0u);
+  label_corpus();
+  const obs::CoverageSnapshot second = map.snapshot();
+  EXPECT_EQ(second.transitions_covered(), first.transitions_covered());
+  EXPECT_EQ(tables.stats().transitions, first.transitions_covered());
 }
 
 TEST(BurstabSerialize, TablesRejectForeignGrammar) {
@@ -686,24 +623,15 @@ TEST(BurstabCache, WarmLoadServesIdenticalTarget) {
   ASSERT_TRUE(cold) << diags.str();
   EXPECT_FALSE(cold->cache_hit);
 
-  std::uint64_t zero_copy_before =
-      obs::metrics().counter("burstab.tables.map_zero_copy").value();
-  std::uint64_t freeze_before = obs::metrics().counter("burstab.freeze").value();
   auto warm = core::Record::retarget_model("manocpu", options, diags);
   ASSERT_TRUE(warm) << diags.str();
   EXPECT_TRUE(warm->cache_hit);
   ASSERT_NE(warm->tables, nullptr);
-  // Acceptance signal for the mmap tier: the warm load adopted the pool
-  // straight off the mapping (one zero-copy map event, no freeze ran).
-  EXPECT_EQ(obs::metrics().counter("burstab.tables.map_zero_copy").value(),
-            zero_copy_before + 1);
-  EXPECT_EQ(obs::metrics().counter("burstab.freeze").value(), freeze_before);
-  // A warm reload lands directly in pure-array (frozen) mode with zero
-  // rebuild work: the mmap'ed pool is adopted as-is (freezes == 0 means no
-  // re-freeze ran) and the dynamic maps stay empty.
-  EXPECT_EQ(warm->tables->stats().freezes, 0u);
-  EXPECT_GT(warm->tables->stats().frozen_transitions, 0u);
-  EXPECT_EQ(warm->tables->stats().transitions, 0u);
+  // The warm tables carry every state and transition the cold run held.
+  EXPECT_EQ(warm->tables->stats().states, cold->tables->stats().states);
+  EXPECT_GT(warm->tables->stats().transitions, 0u);
+  EXPECT_EQ(warm->tables->stats().transitions,
+            cold->tables->stats().transitions);
   EXPECT_EQ(warm->processor, cold->processor);
   EXPECT_EQ(warm->base->templates.size(), cold->base->templates.size());
   EXPECT_EQ(grammar_fingerprint(warm->tree_grammar),
@@ -828,46 +756,33 @@ std::string listing_of(const core::RetargetResult& t, const ir::Program& p,
   return res ? res->listing() : std::string();
 }
 
-TEST(BurstabCache, MmapTierFailureFallsBackToBufferedRead) {
-  std::string dir =
-      (std::filesystem::temp_directory_path() / "record-cache-mmapfail")
-          .string();
-  std::filesystem::remove_all(dir);
-  util::failpoint_disarm_all();
-
-  util::DiagnosticSink diags;
-  core::RetargetOptions options;
-  options.use_target_cache = true;
-  options.cache_dir = dir;
-  auto cold = core::Record::retarget_model("manocpu", options, diags);
-  ASSERT_TRUE(cold) << diags.str();
-
-  // Tier 1 (mmap) fails once; tier 2 buffers the whole file and the entry
-  // still serves as a warm hit, bit-identical to the cold result.
-  const std::uint64_t buffered_before =
-      obs::metrics().counter("burstab.cache.fallback.buffered_read").value();
-  ASSERT_TRUE(util::failpoint_arm("burstab.cache.mmap", "once"));
-  auto warm = core::Record::retarget_model("manocpu", options, diags);
-  util::failpoint_disarm_all();
-  ASSERT_TRUE(warm) << diags.str();
-  EXPECT_TRUE(warm->cache_hit);
-  EXPECT_EQ(
-      obs::metrics().counter("burstab.cache.fallback.buffered_read").value(),
-      buffered_before + 1);
-  ASSERT_TRUE(warm->tables);
-  const ir::Program prog = degradation_probe();
-  EXPECT_EQ(listing_of(*warm, prog, warm->tables.get()),
-            listing_of(*cold, prog, cold->tables.get()));
-
-  std::filesystem::remove_all(dir);
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return std::move(buf).str();
 }
 
-TEST(BurstabCache, LostTablesSectionRebuildsTablesBitIdentically) {
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void put_le(std::string& bytes, std::size_t at, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i)
+    bytes[at + static_cast<std::size_t>(i)] =
+        static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+TEST(BurstabCache, OutOfRangeFitIndexIsRejectedAndRebuilds) {
+  // A tables section whose first state row names fit width 99, under a
+  // recomputed (valid) checksum: the checksum proves the bytes arrived
+  // intact, not that the writer was sane, so the reader's own bounds must
+  // turn this into a rejected miss instead of an out-of-bounds read.
   std::string dir =
-      (std::filesystem::temp_directory_path() / "record-cache-losttab")
+      (std::filesystem::temp_directory_path() / "record-cache-badfit")
           .string();
   std::filesystem::remove_all(dir);
-  util::failpoint_disarm_all();
 
   util::DiagnosticSink diags;
   core::RetargetOptions options;
@@ -875,41 +790,55 @@ TEST(BurstabCache, LostTablesSectionRebuildsTablesBitIdentically) {
   options.cache_dir = dir;
   auto cold = core::Record::retarget_model("manocpu", options, diags);
   ASSERT_TRUE(cold) << diags.str();
+  ASSERT_TRUE(cold->tables);
+
+  std::uint64_t key = TargetCache::key_of(
+      models::model_source("manocpu"), core::options_digest(options));
+  const std::string path = TargetCache(dir).entry_path(key);
+  const std::string blob = read_file(path);
+
+  // The tables section is the tail of the entry: exactly what serialising
+  // the cold tables produces before any labelling grows them.
+  std::string tables_blob;
+  cold->tables->serialize(tables_blob);
+  ASSERT_GT(blob.size(), tables_blob.size() + 24);
+  const std::size_t tables_at = blob.size() - tables_blob.size();
+  ASSERT_EQ(blob.substr(tables_at), tables_blob);
   const ir::Program prog = degradation_probe();
   const std::string reference = listing_of(*cold, prog, cold->tables.get());
+  // Section header: magic u32, fingerprint u64, nts u32, subpatterns u32,
+  // closure u8, state count u32. A row is (2 * nts + subpatterns) i32s, the
+  // const-leaf flag u8, then the fit index i32.
+  ByteReader r(tables_blob);
+  (void)r.u32();
+  (void)r.u64();
+  const std::size_t nts = r.u32();
+  const std::size_t subs = r.u32();
+  (void)r.u8();
+  ASSERT_GT(r.u32(), 0u);
+  ASSERT_TRUE(r.ok());
+  const std::size_t fit_at = tables_at + r.pos() + (2 * nts + subs) * 4 + 1;
 
-  // Tier: the tables section fails to adopt, but base + grammar survived the
-  // checksum, so the hit is salvaged and tables are rebuilt from the grammar.
-  const std::uint64_t lost_before =
-      obs::metrics().counter("burstab.cache.tables_lost").value();
-  const std::uint64_t rebuilt_before =
-      obs::metrics().counter("burstab.fallback.tables_rebuilt").value();
-  ASSERT_TRUE(util::failpoint_arm("burstab.pool.adopt", "once"));
-  auto rebuilt = core::Record::retarget_model("manocpu", options, diags);
-  util::failpoint_disarm_all();
-  ASSERT_TRUE(rebuilt) << diags.str();
-  EXPECT_TRUE(rebuilt->cache_hit);
-  ASSERT_TRUE(rebuilt->tables);  // rebuilt from the cached grammar
-  EXPECT_EQ(obs::metrics().counter("burstab.cache.tables_lost").value(),
-            lost_before + 1);
-  EXPECT_EQ(obs::metrics().counter("burstab.fallback.tables_rebuilt").value(),
-            rebuilt_before + 1);
+  std::string bad = blob;
+  put_le(bad, fit_at, 99, 4);
+  // Header: magic u32, version u32, key u64, payload checksum u64.
+  put_le(bad, 16, fnv1a(std::string_view(bad).substr(24)), 8);
+  write_file(path, bad);
+
+  const std::uint64_t rejected_before =
+      obs::metrics().counter("burstab.cache.rejected").value();
+  EXPECT_FALSE(TargetCache(dir).load(key));
+  EXPECT_EQ(obs::metrics().counter("burstab.cache.rejected").value(),
+            rejected_before + 1);
+
+  util::DiagnosticSink d;
+  auto rebuilt = core::Record::retarget_model("manocpu", options, d);
+  ASSERT_TRUE(rebuilt) << d.str();
+  EXPECT_FALSE(rebuilt->cache_hit);
+  ASSERT_TRUE(rebuilt->tables);
   EXPECT_EQ(listing_of(*rebuilt, prog, rebuilt->tables.get()), reference);
-
-  // Final tier: the rebuild is suppressed too; the hit still serves with
-  // null tables and selection falls back to the interpreter engine.
-  const std::uint64_t interp_before =
-      obs::metrics().counter("burstab.fallback.interpreter").value();
-  ASSERT_TRUE(util::failpoint_arm("burstab.pool.adopt", "once"));
-  ASSERT_TRUE(util::failpoint_arm("burstab.tables.rebuild", "once"));
-  auto interp = core::Record::retarget_model("manocpu", options, diags);
-  util::failpoint_disarm_all();
-  ASSERT_TRUE(interp) << diags.str();
-  EXPECT_TRUE(interp->cache_hit);
-  EXPECT_FALSE(interp->tables);
-  EXPECT_EQ(obs::metrics().counter("burstab.fallback.interpreter").value(),
-            interp_before + 1);
-  EXPECT_EQ(listing_of(*interp, prog, nullptr), reference);
+  // The rebuild re-stored the entry bit for bit.
+  EXPECT_EQ(read_file(path), blob);
 
   std::filesystem::remove_all(dir);
 }
@@ -955,13 +884,12 @@ TEST(BurstabCache, TransientOpenErrorsRetryWithBackoff) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(BurstabCache, CorruptedPoolBlobCompilesBitIdenticallyViaFallback) {
-  // The frozen-pool blob is damaged mid-file — a truncation landing inside
-  // the tables section, then a bit flip deep in the pool bytes — and the
-  // target must still compile bit-identically to the pristine run, with the
-  // rejection observable on the cache counters.
+TEST(BurstabCache, CorruptedBlobCompilesBitIdenticallyViaRebuild) {
+  // The cache entry is damaged mid-file — a truncation, then a bit flip deep
+  // in the payload — and the target must still compile bit-identically to
+  // the pristine run, with the rejection observable on the cache counters.
   std::string dir =
-      (std::filesystem::temp_directory_path() / "record-cache-poolcorrupt")
+      (std::filesystem::temp_directory_path() / "record-cache-midcorrupt")
           .string();
   std::filesystem::remove_all(dir);
   util::failpoint_disarm_all();
@@ -1014,9 +942,11 @@ TEST(BurstabCache, CorruptedPoolBlobCompilesBitIdenticallyViaFallback) {
 }
 
 TEST(BurstabCache, OldVersionBlobRebuildsCleanly) {
-  // A v2-era entry (pre-frozen-tables format) must read as a miss — the
-  // version word gates the whole payload — and the pipeline must rebuild
-  // and re-store a current-version entry.
+  // Stale entries must read as a miss — the version word gates the whole
+  // payload — and the pipeline must rebuild and re-store a current-version
+  // entry. Two inputs: the current entry with its version word patched down
+  // to 2, and a real v6 entry (frozen-pool tables section) for the duo
+  // machine, checked in under tests/data.
   std::string dir =
       (std::filesystem::temp_directory_path() / "record-cache-oldver")
           .string();
@@ -1060,6 +990,29 @@ TEST(BurstabCache, OldVersionBlobRebuildsCleanly) {
   auto warm = core::Record::retarget_model("manocpu", options, d);
   ASSERT_TRUE(warm);
   EXPECT_TRUE(warm->cache_hit);
+
+  // The v6 entry (written for tests/data/duo.hdl by the previous format)
+  // lands at the path of the current duo key, with its header key patched
+  // to match, so only the version word can turn it away.
+  const std::string duo = read_file(RECORD_TESTS_DIR "/data/duo.hdl");
+  std::string v6 = read_file(RECORD_TESTS_DIR "/data/duo_cache_v6.rtc");
+  ASSERT_GE(v6.size(), 24u);
+  ASSERT_EQ(v6[4], 6);
+  const std::uint64_t duo_key =
+      TargetCache::key_of(duo, core::options_digest(options));
+  put_le(v6, 8, duo_key, 8);
+  write_file(TargetCache(dir).entry_path(duo_key), v6);
+  const std::uint64_t rejected_before =
+      obs::metrics().counter("burstab.cache.rejected").value();
+  EXPECT_FALSE(TargetCache(dir).load(duo_key)) << "v6 entry served as hit";
+  EXPECT_EQ(obs::metrics().counter("burstab.cache.rejected").value(),
+            rejected_before + 1);
+  auto duo_cold = core::Record::retarget(duo, options, d);
+  ASSERT_TRUE(duo_cold) << d.str();
+  EXPECT_FALSE(duo_cold->cache_hit);
+  auto duo_warm = core::Record::retarget(duo, options, d);
+  ASSERT_TRUE(duo_warm);
+  EXPECT_TRUE(duo_warm->cache_hit);
 
   std::filesystem::remove_all(dir);
 }
@@ -1122,9 +1075,8 @@ TEST(BurstabCache, DiskFullAtCloseNeverPublishesTruncatedBlob) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(BurstabCache, MappedTablesAgreeAcrossProcesses) {
-  // The cache entry is mmap'ed MAP_SHARED: concurrent child processes warm-
-  // loading the same key share the page-cache pages of one blob. Every child
+TEST(BurstabCache, WarmLoadsAgreeAcrossProcesses) {
+  // Concurrent child processes warm-load the same cache entry. Every child
   // must hit the cache and select the exact listing the cold parent built.
   std::string dir =
       (std::filesystem::temp_directory_path() / "record-cache-multiproc")
@@ -1139,7 +1091,7 @@ TEST(BurstabCache, MappedTablesAgreeAcrossProcesses) {
   ASSERT_TRUE(cold) << diags.str();
   ASSERT_FALSE(cold->cache_hit);
 
-  ir::ProgramBuilder b("mmap_agree");
+  ir::ProgramBuilder b("multiproc_agree");
   b.reg("acc", "AC");
   b.cell("m0", "mem", 0);
   b.cell("m1", "mem", 1);

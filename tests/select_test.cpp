@@ -223,9 +223,9 @@ TEST(Selector, MissingBindingFailsCleanly) {
 // --- coverage-map agreement across labelling engines -------------------------
 
 // Grammar-rule coverage is an engine-independent fact: whichever engine
-// labels the subject trees (interpreter, dynamic hash tables, frozen
-// compressed tables), the set of rules matched per node and the rules chosen
-// in the optimal derivation must be identical. This pins the coverage
+// labels the subject trees (interpreter or state tables), the set of rules
+// matched per node and the rules chosen in the optimal derivation must be
+// identical. This pins the coverage
 // instrumentation itself — a divergence here means one engine's record path
 // (not its selection) went wrong.
 TEST(Selector, CoverageMapsAgreeAcrossEnginesOnAllModels) {
@@ -234,11 +234,7 @@ TEST(Selector, CoverageMapsAgreeAcrossEnginesOnAllModels) {
     auto target =
         core::Record::retarget_model(s.model, core::RetargetOptions{}, diags);
     ASSERT_TRUE(target) << s.model << ": " << diags.str();
-    ASSERT_TRUE(target->tables) << s.model << ": no frozen tables";
-
-    burstab::TableBuildOptions hash_mode;
-    hash_mode.freeze = false;
-    burstab::TargetTables hash_tables(target->tree_grammar, hash_mode);
+    ASSERT_TRUE(target->tables) << s.model << ": no tables";
 
     struct EngineRun {
       const char* name;
@@ -246,8 +242,7 @@ TEST(Selector, CoverageMapsAgreeAcrossEnginesOnAllModels) {
     };
     const EngineRun engines[] = {
         {"interpreter", nullptr},
-        {"tables-hash", &hash_tables},
-        {"tables-frozen", target->tables.get()},
+        {"tables", target->tables.get()},
     };
 
     const ir::Program prog = models::chain_program(s, 6);
@@ -267,31 +262,23 @@ TEST(Selector, CoverageMapsAgreeAcrossEnginesOnAllModels) {
     }
 
     const obs::CoverageSnapshot& interp = snaps[0];
-    const obs::CoverageSnapshot& hash = snaps[1];
-    const obs::CoverageSnapshot& frozen = snaps[2];
-    // Rule coverage agrees hit-for-hit across all three engines.
-    EXPECT_EQ(interp.counts.rules_matched, hash.counts.rules_matched)
-        << s.model << ": interpreter vs hash matched-rule counts";
-    EXPECT_EQ(hash.counts.rules_matched, frozen.counts.rules_matched)
-        << s.model << ": hash vs frozen matched-rule counts";
-    EXPECT_EQ(interp.counts.rules_chosen, hash.counts.rules_chosen)
-        << s.model << ": interpreter vs hash chosen-rule counts";
-    EXPECT_EQ(hash.counts.rules_chosen, frozen.counts.rules_chosen)
-        << s.model << ": hash vs frozen chosen-rule counts";
-    EXPECT_GT(frozen.rules_chosen_covered(), 0u) << s.model;
+    const obs::CoverageSnapshot& tables = snaps[1];
+    // Rule coverage agrees hit-for-hit across both engines.
+    EXPECT_EQ(interp.counts.rules_matched, tables.counts.rules_matched)
+        << s.model << ": interpreter vs tables matched-rule counts";
+    EXPECT_EQ(interp.counts.rules_chosen, tables.counts.rules_chosen)
+        << s.model << ": interpreter vs tables chosen-rule counts";
+    EXPECT_GT(tables.rules_chosen_covered(), 0u) << s.model;
 
     // Engine-specific dimensions land where they should: the interpreter
-    // has no interned states or table lookups at all; the hash engine's
-    // lookups are all cold (no frozen snapshot attached); only the frozen
-    // engine hits transition slots.
+    // has no interned states or table lookups at all; the tables hit states
+    // and transitions by id, all inside the map.
     EXPECT_EQ(interp.states_covered(), 0u) << s.model;
     EXPECT_EQ(interp.counts.cold_transitions, 0u) << s.model;
-    EXPECT_GT(hash.states_covered(), 0u) << s.model;
-    EXPECT_GT(hash.counts.cold_transitions, 0u) << s.model;
-    EXPECT_EQ(hash.transitions_covered(), 0u) << s.model;
-    EXPECT_GT(frozen.states_covered(), 0u) << s.model;
-    EXPECT_GT(frozen.transitions_covered(), 0u) << s.model;
-    EXPECT_EQ(frozen.counts.transition_overflow, 0u) << s.model;
+    EXPECT_EQ(interp.transitions_covered(), 0u) << s.model;
+    EXPECT_GT(tables.states_covered(), 0u) << s.model;
+    EXPECT_GT(tables.transitions_covered(), 0u) << s.model;
+    EXPECT_EQ(tables.counts.transition_overflow, 0u) << s.model;
   }
 }
 

@@ -181,12 +181,11 @@ TEST(Oracle, SmokeCorpusAllPathsAgree) {
   EXPECT_GT(compiled, pairs / 2) << "corpus too weak: almost nothing compiles";
 }
 
-TEST(Oracle, FrozenTableModeReplaysSeeds0To50) {
-  // Regression net for the frozen (compressed, lock-free) table mode: the
-  // default tables every oracle path uses are frozen, so replaying the
-  // generative corpus pins TreeParser vs frozen TableParser vs the warm
-  // TargetCache reload (a frozen blob landing in pure-array mode) as
-  // bit-identical across 51 machines.
+TEST(Oracle, TableEngineReplaysSeeds0To50) {
+  // Regression net for the table engine: replaying the generative corpus
+  // pins TreeParser vs TableParser vs the warm TargetCache reload (tables
+  // deserialised with their transition ids) as bit-identical across 51
+  // machines.
   int compiled = 0;
   for (std::uint64_t seed = 0; seed <= 50; ++seed) {
     GeneratedModel m = generate_model(seed);

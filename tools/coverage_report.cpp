@@ -2,13 +2,13 @@
 //
 // Retargets every built-in model, compiles the shared accumulator-chain
 // workload (models/workload.h) at several sizes with coverage recording on,
-// and reports which grammar rules / BURS states / frozen-table transition
-// slots the workload actually reached. Per model it prints the
+// and reports which grammar rules / BURS states / table transitions the
+// workload actually reached. Per model it prints the
 // human-readable report (obs::coverage_report_text, including the
 // uncovered-rule list by name) and merges everything into one
 // machine-readable COVERAGE_report.json (committed at the repo root each PR,
-// uploaded as a CI artifact), so selector coverage is tracked across commits
-// the same way BENCH_selection.json tracks performance.
+// uploaded as a CI artifact), so selector coverage is tracked across
+// commits.
 //
 // --floor R gates on rule coverage: exit non-zero when any model's
 // chosen-rule ratio falls below R (0..1) — the CI coverage gate. The chain
