@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <queue>
 #include <sstream>
 
 namespace record::bdd {
 
-BddManager::BddManager() {
+BddManager::BddManager()
+    : ite_cache_(std::size_t{1} << kComputedTableBits) {
   // Slot 0: constant FALSE, slot 1: constant TRUE. Constants sit below every
   // variable in the order (kConstLevel).
   nodes_.push_back(Node{kConstLevel, kFalse, kFalse});
@@ -41,6 +43,16 @@ Ref BddManager::make_node(int var, Ref lo, Ref hi) {
   return r;
 }
 
+std::size_t BddManager::ite_slot(Ref f, Ref g, Ref h) {
+  // splitmix64 finaliser over the packed triple; the top bits index.
+  std::uint64_t x = (std::uint64_t{f} << 32 | g) ^
+                    (std::uint64_t{h} * 0x9e3779b97f4a7c15ull);
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return static_cast<std::size_t>(x >> (64 - kComputedTableBits));
+}
+
 Ref BddManager::ite(Ref f, Ref g, Ref h) {
   std::lock_guard<std::mutex> lock(mu_);
   return ite_rec(f, g, h);
@@ -53,9 +65,11 @@ Ref BddManager::ite_rec(Ref f, Ref g, Ref h) {
   if (g == h) return g;
   if (g == kTrue && h == kFalse) return f;
 
-  IteKey key{f, g, h};
-  auto it = ite_cache_.find(key);
-  if (it != ite_cache_.end()) return it->second;
+  const std::size_t slot = ite_slot(f, g, h);
+  {
+    const IteEntry& e = ite_cache_[slot];
+    if (e.f == f && e.g == g && e.h == h) return e.r;
+  }
 
   int top = std::min({level(f), level(g), level(h)});
   auto cofactor = [&](Ref r, bool hi) {
@@ -65,7 +79,7 @@ Ref BddManager::ite_rec(Ref f, Ref g, Ref h) {
   Ref t = ite_rec(cofactor(f, true), cofactor(g, true), cofactor(h, true));
   Ref e = ite_rec(cofactor(f, false), cofactor(g, false), cofactor(h, false));
   Ref r = make_node(top, e, t);
-  ite_cache_.emplace(key, r);
+  ite_cache_[slot] = IteEntry{f, g, h, r};
   return r;
 }
 
@@ -150,20 +164,27 @@ std::uint64_t BddManager::sat_count(Ref f, int nvars) const {
   return static_cast<std::uint64_t>(count + 0.5);
 }
 
-void BddManager::collect_support(Ref f, std::vector<bool>& seen,
-                                 std::vector<bool>& vars) const {
-  if (is_const(f) || seen[f]) return;
-  seen[f] = true;
-  vars[static_cast<std::size_t>(node(f).var)] = true;
-  collect_support(node(f).lo, seen, vars);
-  collect_support(node(f).hi, seen, vars);
-}
-
 std::vector<int> BddManager::support(Ref f) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<bool> seen(nodes_.size(), false);
+  // A node is created after its children, so it has a larger Ref than any
+  // node it reaches. Taking the largest pending Ref first pops all copies
+  // of a node in a row, after every parent that pushed them: each node
+  // reachable from f is visited once, with no visited set sized to the
+  // node table.
   std::vector<bool> vars(names_.size(), false);
-  collect_support(f, seen, vars);
+  std::priority_queue<Ref> pending;
+  pending.push(f);
+  Ref last = kFalse;
+  while (!pending.empty()) {
+    const Ref r = pending.top();
+    pending.pop();
+    if (is_const(r) || r == last) continue;
+    last = r;
+    const Node& n = node(r);
+    vars[static_cast<std::size_t>(n.var)] = true;
+    pending.push(n.lo);
+    pending.push(n.hi);
+  }
   std::vector<int> out;
   for (std::size_t i = 0; i < vars.size(); ++i)
     if (vars[i]) out.push_back(static_cast<int>(i));

@@ -6,7 +6,7 @@
 // what instruction-set extraction and code compaction need:
 //
 //   * canonical node table (unique table) with creation-order variable order,
-//   * ite/and/or/xor/not with a computed-table cache,
+//   * ite/and/or/xor/not with a bounded computed table (see below),
 //   * restrict (cofactor) and compose (substitute a function for a variable),
 //   * satisfiability, implication, model extraction and model counting,
 //   * support computation and a stable textual dump for tests.
@@ -15,7 +15,17 @@
 // (tens of variables) and a manager lives exactly as long as the retarget
 // result owning it — compile jobs add a few nodes per immediate conjunction,
 // and all of it is reclaimed when the target is dropped (e.g. evicted from
-// the service::TargetRegistry LRU and released by its last job).
+// the service::TargetRegistry LRU and released by its last job). Nodes are
+// never collected while the manager lives.
+//
+// The computed table (ite memo) is the classic bounded, lossy design: a
+// fixed power-of-two array of slots, direct-mapped by a 64-bit mix of
+// (f, g, h), where a new result overwrites whatever held its slot. Its
+// memory is constant per manager however long a hot target serves. Losing
+// an entry only costs a recomputation: the recursion rebuilds the result
+// from the unique table, where every node it needs already exists, so a
+// miss creates no node and Ref numbering is the same as with an unbounded
+// memo.
 //
 // Thread safety: every operation that touches the node table — construction
 // of new BDDs (ite, literal, restrict, compose, exists and the inline
@@ -54,6 +64,12 @@ using Assignment = std::vector<std::pair<int, bool>>;
 class BddManager {
  public:
   BddManager();
+
+  /// log2 of the computed-table slot count (16 bytes a slot, 128 KiB per
+  /// manager), chosen by measurement on the perfbench workloads: 2^12
+  /// slots thrash (about 25% fewer compiles/s, half the shared-target
+  /// throughput), and 2^14 buys no throughput for more peak RSS.
+  static constexpr int kComputedTableBits = 13;
 
   BddManager(const BddManager&) = delete;
   BddManager& operator=(const BddManager&) = delete;
@@ -171,17 +187,10 @@ class BddManager {
       return h;
     }
   };
-  struct IteKey {
-    Ref f, g, h;
-    bool operator==(const IteKey&) const = default;
-  };
-  struct IteKeyHash {
-    std::size_t operator()(const IteKey& k) const {
-      std::size_t x = k.f;
-      x = x * 1000003u ^ k.g;
-      x = x * 1000003u ^ k.h;
-      return x;
-    }
+  /// One computed-table slot; f == kFalse marks it empty (ite never
+  /// memoises a constant f: those are terminal cases).
+  struct IteEntry {
+    Ref f = kFalse, g = kFalse, h = kFalse, r = kFalse;
   };
 
   [[nodiscard]] const Node& node(Ref r) const { return nodes_[r]; }
@@ -193,13 +202,12 @@ class BddManager {
   [[nodiscard]] Ref restrict_rec(Ref f, int v, bool value);
   [[nodiscard]] std::string to_string_rec(Ref f) const;
 
-  void collect_support(Ref f, std::vector<bool>& seen,
-                       std::vector<bool>& vars) const;
   double sat_fraction(Ref f, std::unordered_map<Ref, double>& memo) const;
   void to_sop_rec(Ref f, std::vector<std::pair<int, bool>>& path,
                   std::vector<std::string>& cubes) const;
 
   static constexpr int kConstLevel = 1 << 30;
+  [[nodiscard]] static std::size_t ite_slot(Ref f, Ref g, Ref h);
 
   /// Serialises node-table access (see the thread-safety note above). The
   /// variable table (names_) is intentionally outside the contract: it is
@@ -208,7 +216,7 @@ class BddManager {
   std::vector<Node> nodes_;
   std::vector<std::string> names_;
   std::unordered_map<NodeKey, Ref, NodeKeyHash> unique_;
-  std::unordered_map<IteKey, Ref, IteKeyHash> ite_cache_;
+  std::vector<IteEntry> ite_cache_;
 };
 
 /// A little-endian vector of condition BDDs representing a symbolic bus or

@@ -1,6 +1,7 @@
 #include "compact/compact.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <map>
 #include <set>
@@ -98,7 +99,20 @@ class Compactor {
     if (n == 0) return;
     bdd::BddManager& mgr = *base_.mgr;
 
-    std::vector<int> cycle(n, -1);
+    // Dependence edges always run forward in region order (depdag.h), so
+    // one reverse sweep settles critical-path heights, and each RT keeps
+    // a count of unscheduled predecessors plus the earliest cycle its
+    // scheduled ones allow. Placing an RT updates its successors at once,
+    // so a latency-0 successor later in the priority order can join the
+    // same word.
+    std::vector<std::vector<const DepEdge*>> succs(n);
+    std::vector<int> preds_left(n, 0);
+    for (const DepEdge& e : region.edges) {
+      assert(e.from < e.to);
+      succs[e.from].push_back(&e);
+      ++preds_left[e.to];
+    }
+    std::vector<int> earliest(n, 0);
     std::vector<bool> scheduled(n, false);
     std::size_t remaining = n;
     int current = 0;
@@ -108,17 +122,9 @@ class Compactor {
     // later compatible RTs (e.g. the next multiply) — the MPYA/MACD fusion
     // pattern.
     std::vector<int> height(n, 0);
-    for (std::size_t iter = 0; iter < n; ++iter) {
-      bool changed = false;
-      for (const DepEdge& e : region.edges) {
-        int h = height[e.to] + (e.latency > 0 ? 1 : 0);
-        if (h > height[e.from]) {
-          height[e.from] = h;
-          changed = true;
-        }
-      }
-      if (!changed) break;
-    }
+    for (std::size_t i = n; i-- > 0;)
+      for (const DepEdge* e : succs[i])
+        height[i] = std::max(height[i], height[e->to] + (e->latency > 0 ? 1 : 0));
     std::vector<std::size_t> priority(n);
     for (std::size_t i = 0; i < n; ++i) priority[i] = i;
     std::stable_sort(priority.begin(), priority.end(),
@@ -127,13 +133,15 @@ class Compactor {
                      });
 
     auto ready = [&](std::size_t i) {
-      if (scheduled[i]) return false;
-      for (const DepEdge& e : region.edges) {
-        if (e.to != i) continue;
-        if (!scheduled[e.from]) return false;
-        if (cycle[e.from] + e.latency > current) return false;
+      return !scheduled[i] && preds_left[i] == 0 && earliest[i] <= current;
+    };
+    auto place = [&](std::size_t i) {
+      scheduled[i] = true;
+      --remaining;
+      for (const DepEdge* e : succs[i]) {
+        --preds_left[e->to];
+        earliest[e->to] = std::max(earliest[e->to], current + e->latency);
       }
-      return true;
     };
 
     while (remaining > 0) {
@@ -157,9 +165,7 @@ class Compactor {
         }
         w.rts.push_back(rt);
         w.cond = joint;
-        scheduled[i] = true;
-        cycle[i] = current;
-        --remaining;
+        place(i);
         packed_any = true;
       }
       // The branch goes last: only when everything else is in flight.
@@ -176,9 +182,7 @@ class Compactor {
         w.cond = joint;
         w.has_branch = true;
         w.branch_target = rt->branch_target;
-        scheduled[i] = true;
-        cycle[i] = current;
-        --remaining;
+        place(i);
         packed_any = true;
       }
       if (!w.rts.empty()) {

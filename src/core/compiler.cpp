@@ -20,6 +20,21 @@ void refresh_coverage_totals(obs::CoverageMap& cov,
                  static_cast<std::uint64_t>(st.transitions));
 }
 
+/// Outcome counters, resolved once: a registry lookup takes its mutex, and
+/// every compile bumps one of these.
+struct CompileCounters {
+  obs::Counter& uncovered = obs::metrics().counter("compile.uncovered");
+  obs::Counter& unrepairable_clobber =
+      obs::metrics().counter("compile.unrepairable_clobber");
+  obs::Counter& failed = obs::metrics().counter("compile.failed");
+  obs::Counter& ok = obs::metrics().counter("compile.ok");
+};
+
+CompileCounters& counters() {
+  static CompileCounters c;
+  return c;
+}
+
 }  // namespace
 
 std::optional<CompileResult> Compiler::compile(
@@ -73,7 +88,7 @@ std::optional<CompileResult> Compiler::compile(
   if (options.explain) selector.set_explain(options.explain);
   std::optional<select::SelectionResult> sel = selector.select(prog);
   if (!sel) {
-    obs::metrics().counter("compile.uncovered").add(1);
+    counters().uncovered.add(1);
     return std::nullopt;
   }
   result.selection = std::move(*sel);
@@ -89,7 +104,7 @@ std::optional<CompileResult> Compiler::compile(
       // failing honestly beats emitting known-bad code with a warning.
       diags.error({}, "unrepairable register clobber; refusing to emit "
                       "incorrect code (see warnings)");
-      obs::metrics().counter("compile.unrepairable_clobber").add(1);
+      counters().unrepairable_clobber.add(1);
       return std::nullopt;
     }
   }
@@ -124,10 +139,10 @@ std::optional<CompileResult> Compiler::compile(
     refresh_coverage_totals(*cov, target_->tree_grammar, tables);
   }
   if (!diags.ok()) {
-    obs::metrics().counter("compile.failed").add(1);
+    counters().failed.add(1);
     return std::nullopt;
   }
-  obs::metrics().counter("compile.ok").add(1);
+  counters().ok.add(1);
   span.note("processor", target_->processor);
   span.note("words", static_cast<std::int64_t>(result.code_size()));
   span.note("rts", static_cast<std::int64_t>(result.selection.total_rts));

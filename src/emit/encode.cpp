@@ -1,7 +1,8 @@
 #include "emit/encode.h"
 
-#include <set>
+#include <algorithm>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "util/strings.h"
@@ -34,8 +35,6 @@ std::uint64_t EncodedWord::to_u64() const {
   return v;
 }
 
-namespace {
-
 /// "Could template fire?" conditions per storage, with data-dependent AND
 /// mode-register variables existentially quantified (pessimistic). Mode
 /// vars must go too: suppression is applied by constraining instruction
@@ -48,29 +47,30 @@ namespace {
 /// (required on multi-issue machines, where a second slot's don't-care
 /// bits could otherwise be filled to write the same location — a
 /// decode-time write contention).
-struct StorageWriters {
-  bdd::Ref any = bdd::kFalse;
-  std::vector<std::pair<const rtl::RTTemplate*, bdd::Ref>> each;
-};
-
-std::map<std::string, StorageWriters> write_conditions(
+std::vector<rtl::StorageWriters> write_conditions(
     const rtl::TemplateBase& base) {
   bdd::BddManager& mgr = *base.mgr;
-  std::map<std::string, StorageWriters> out;
-  for (const rtl::RTTemplate& t : base.templates) {
+  std::map<std::string, rtl::StorageWriters> by_storage;
+  for (std::size_t i = 0; i < base.templates.size(); ++i) {
+    const rtl::RTTemplate& t = base.templates[i];
     bdd::Ref c = t.cond;
     for (int v : mgr.support(c)) {
       const std::string& n = mgr.var_name(v);
       if (n.rfind("I[", 0) != 0) c = mgr.exists(c, v);
     }
-    StorageWriters& sw = out[t.dest];
+    rtl::StorageWriters& sw = by_storage[t.dest];
     sw.any = mgr.lor(sw.any, c);
-    sw.each.emplace_back(&t, c);
+    sw.each.push_back({i, c, mgr.lnot(c)});
+  }
+  std::vector<rtl::StorageWriters> out;
+  out.reserve(by_storage.size());
+  for (auto& [storage, sw] : by_storage) {
+    sw.storage = storage;
+    sw.not_any = mgr.lnot(sw.any);
+    out.push_back(std::move(sw));
   }
   return out;
 }
-
-}  // namespace
 
 EncodeResult encode(const compact::CompactedProgram& prog,
                     const rtl::TemplateBase& base,
@@ -86,8 +86,23 @@ EncodeResult encode(const compact::CompactedProgram& prog,
     addr += static_cast<int>(r.words.size());
   }
 
-  // Cache write conditions per storage.
-  std::map<std::string, StorageWriters> wconds = write_conditions(base);
+  // Targets from core::Record::retarget carry their write conditions.
+  std::vector<rtl::StorageWriters> derived;
+  if (base.writers.empty()) derived = write_conditions(base);
+  const std::vector<rtl::StorageWriters>& writers =
+      base.writers.empty() ? derived : base.writers;
+
+  // Suppression products per word shape (the storages a word writes and
+  // the templates it uses), for this call only.
+  using Shape = std::pair<std::vector<std::string_view>,
+                          std::vector<const rtl::RTTemplate*>>;
+  struct Product {
+    bdd::Ref scope = bdd::kTrue;  // AND of the shape's template conditions
+    bdd::Ref cond = bdd::kTrue;   // AND of the terms not disjoint from scope
+    std::size_t taken = 0;
+    std::size_t skipped = 0;
+  };
+  std::map<Shape, Product> products;
 
   addr = 0;
   for (const compact::CompactedRegion& r : prog.regions) {
@@ -128,37 +143,64 @@ EncodeResult encode(const compact::CompactedProgram& prog,
       // Side-effect suppression. A storage the word does not write must not
       // be written by any template; a storage the word DOES write must not
       // also be written by a template outside the word's own RTs (two units
-      // writing one location is a decode-time contention).
-      std::vector<std::string> written;
-      std::set<const rtl::RTTemplate*> own;
+      // writing one location is a decode-time contention). Each such
+      // "must not write" term is conjoined greedily, skipping any that
+      // would make the word unsatisfiable.
+      Shape key;
       for (const select::SelectedRT* rt : w.rts) {
-        written.push_back(rt->dest);
-        if (rt->tmpl) own.insert(rt->tmpl);
+        key.first.push_back(rt->dest);
+        key.second.push_back(rt->tmpl);
       }
-      for (const auto& [storage, wc] : wconds) {
-        bool is_written = false;
-        for (const std::string& d : written)
-          if (d == storage) is_written = true;
-        if (!is_written) {
-          bdd::Ref guarded = mgr.land(cond, mgr.lnot(wc.any));
+      auto [it, fresh] = products.try_emplace(std::move(key));
+      const auto& [written, own] = it->first;
+      auto for_each_term = [&](auto&& apply) {
+        for (const rtl::StorageWriters& sw : writers) {
+          if (std::find(written.begin(), written.end(), sw.storage) ==
+              written.end()) {
+            apply(sw.not_any);
+            continue;
+          }
+          for (const rtl::StorageWriters::Writer& wr : sw.each)
+            if (std::find(own.begin(), own.end(),
+                          &base.templates[wr.tmpl]) == own.end())
+              apply(wr.not_cond);
+        }
+      };
+      // The terms depend only on the word's shape. Every word of a shape
+      // implies its templates' conditions, so a term disjoint from those
+      // is one the greedy pass must skip; if the word stays satisfiable
+      // under all the other terms at once, the pass would take each of
+      // them, and the result is the same function in any order. One
+      // conjunction with the shape's product then replaces the pass.
+      Product& product = it->second;
+      if (fresh) {
+        for (const rtl::RTTemplate* t : own)
+          if (t) product.scope = mgr.land(product.scope, t->cond);
+        for_each_term([&](bdd::Ref term) {
+          if (mgr.disjoint(product.scope, term)) {
+            ++product.skipped;
+          } else {
+            product.cond = mgr.land(product.cond, term);
+            ++product.taken;
+          }
+        });
+      }
+      bdd::Ref all = bdd::kFalse;
+      if (mgr.implies(cond, product.scope)) all = mgr.land(cond, product.cond);
+      if (all != bdd::kFalse) {
+        cond = all;
+        result.stats.suppressed += product.taken;
+        result.stats.unsuppressible += product.skipped;
+      } else {
+        for_each_term([&](bdd::Ref term) {
+          bdd::Ref guarded = mgr.land(cond, term);
           if (guarded != bdd::kFalse) {
             cond = guarded;
             ++result.stats.suppressed;
           } else {
             ++result.stats.unsuppressible;
           }
-          continue;
-        }
-        for (const auto& [tmpl, qc] : wc.each) {
-          if (own.count(tmpl)) continue;
-          bdd::Ref guarded = mgr.land(cond, mgr.lnot(qc));
-          if (guarded != bdd::kFalse) {
-            cond = guarded;
-            ++result.stats.suppressed;
-          } else {
-            ++result.stats.unsuppressible;
-          }
-        }
+        });
       }
 
       if (cond == bdd::kFalse) {

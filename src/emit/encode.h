@@ -7,7 +7,8 @@
 //   2. suppresses unintended side effects: for every storage the word does
 //      not write, the instruction bits are chosen - when satisfiable - so
 //      that no template writing that storage can fire ("don't-care
-//      completion" of the partial instruction),
+//      completion" of the partial instruction); the per-storage writer
+//      conditions are computed once per target (write_conditions),
 //   3. extracts one satisfying assignment of the instruction bits; unused
 //      bits default to 0.
 #pragma once
@@ -51,6 +52,12 @@ struct EncodeResult {
   Assembly assembly;
   EncodeStats stats;
 };
+
+/// Per-storage write conditions of a template base for side-effect
+/// suppression (rtl::TemplateBase::writers). Quantifies every template
+/// condition, so it runs once per target, at retarget time.
+[[nodiscard]] std::vector<rtl::StorageWriters> write_conditions(
+    const rtl::TemplateBase& base);
 
 [[nodiscard]] EncodeResult encode(const compact::CompactedProgram& prog,
                                   const rtl::TemplateBase& base,

@@ -118,6 +118,22 @@ struct PortInInfo {
   int width = 0;
 };
 
+/// Which templates can write one storage, as instruction-bit conditions
+/// (every other variable existentially quantified out), with negations
+/// precomputed. The encoder's side-effect suppression reads these for
+/// every word; see emit::write_conditions.
+struct StorageWriters {
+  struct Writer {
+    std::size_t tmpl = 0;  // index into TemplateBase::templates
+    bdd::Ref cond = bdd::kFalse;
+    bdd::Ref not_cond = bdd::kTrue;
+  };
+  std::string storage;
+  bdd::Ref any = bdd::kFalse;  // OR over `each`
+  bdd::Ref not_any = bdd::kTrue;
+  std::vector<Writer> each;
+};
+
 /// The RT template base: everything grammar construction needs.
 /// Owns the BDD manager that all template conditions live in.
 ///
@@ -135,6 +151,11 @@ struct TemplateBase {
   /// Architectural branch delay slots: a write to the program counter lands
   /// this many instruction words late (HDL `DELAY n` on the PC register).
   int branch_delay_slots = 0;
+  /// Per-storage write conditions, sorted by storage name. Derived data:
+  /// core::Record::retarget fills it once per target, after which it is
+  /// only read. Empty on a base built by other means; emit::encode then
+  /// derives the conditions per call.
+  std::vector<StorageWriters> writers;
 
   [[nodiscard]] std::size_t size() const { return templates.size(); }
   [[nodiscard]] const StorageInfo* find_storage(std::string_view name) const;

@@ -1,6 +1,7 @@
 #include "service/service.h"
 
 #include <algorithm>
+#include <map>
 #include <new>
 #include <utility>
 
@@ -172,6 +173,16 @@ void CompileService::worker_loop() {
   // reach steady-state capacity after the first few jobs and are reused for
   // every job this worker runs afterwards (no per-job reallocation).
   select::SelectScratch scratch;
+  // Metric handles resolved once per worker: a registry lookup takes its
+  // mutex. Per-processor counters are resolved on a processor's first job.
+  obs::Histogram& global_queue_ns = obs::metrics().histogram("service.queue_ns");
+  obs::Histogram& global_compile_ns =
+      obs::metrics().histogram("service.compile_ns");
+  obs::Counter& jobs = obs::metrics().counter("service.jobs");
+  obs::Counter& failed = obs::metrics().counter("service.failed");
+  obs::Counter& deadline_exceeded =
+      obs::metrics().counter("service.deadline_exceeded");
+  std::map<std::string, obs::Counter*, std::less<>> compiled;
   for (;;) {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
@@ -211,22 +222,28 @@ void CompileService::worker_loop() {
         result.retry_after_ms = suggested_backoff_ms();
     }
     result.times.queue_ms = queue_ms;
-    if (result.deadline_exceeded)
-      obs::metrics().counter("service.deadline_exceeded").add(1);
+    if (result.deadline_exceeded) deadline_exceeded.add(1);
 
     // Latency accumulation is wait-free (histogram atomics), so only the
     // plain counters ride the queue mutex.
     queue_ns_.record(static_cast<std::int64_t>(queue_ms * 1e6));
     compile_ns_.record(
         static_cast<std::int64_t>(result.times.compile_ms * 1e6));
-    obs::metrics().histogram("service.queue_ns")
-        .record(static_cast<std::int64_t>(queue_ms * 1e6));
-    obs::metrics().histogram("service.compile_ns")
-        .record(static_cast<std::int64_t>(result.times.compile_ms * 1e6));
-    obs::metrics().counter("service.jobs").add(1);
-    if (!result.ok) obs::metrics().counter("service.failed").add(1);
-    if (result.ok && !result.processor.empty())
-      obs::metrics().counter("service.compiled." + result.processor).add(1);
+    global_queue_ns.record(static_cast<std::int64_t>(queue_ms * 1e6));
+    global_compile_ns.record(
+        static_cast<std::int64_t>(result.times.compile_ms * 1e6));
+    jobs.add(1);
+    if (!result.ok) failed.add(1);
+    if (result.ok && !result.processor.empty()) {
+      auto it = compiled.find(result.processor);
+      if (it == compiled.end())
+        it = compiled
+                 .emplace(result.processor,
+                          &obs::metrics().counter("service.compiled." +
+                                                  result.processor))
+                 .first;
+      it->second->add(1);
+    }
 
     lock.lock();
     ++stats_.completed;

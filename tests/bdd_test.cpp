@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "bdd/bdd.h"
 
@@ -139,6 +141,66 @@ TEST_F(BddTest, ToStringAndSopStable) {
 TEST_F(BddTest, FindVarByName) {
   EXPECT_EQ(mgr.find_var("b"), b);
   EXPECT_EQ(mgr.find_var("nope"), -1);
+}
+
+// The computed table is lossy: results that fell out of it are recomputed
+// from the unique table. Overflowing it and then rebuilding the same
+// functions in another operation order (reversed build order, swapped
+// operands) must give identical Refs and create no node.
+TEST(BddComputedTable, OverflowKeepsRefsCanonical) {
+  BddManager mgr;
+  constexpr int kVars = 24;
+  for (int v = 0; v < kVars; ++v) mgr.new_var("x" + std::to_string(v));
+  constexpr int kFunctions = 4000;
+  auto pick = [](int k, int j) {
+    std::uint32_t x = static_cast<std::uint32_t>(k) * 2654435761u +
+                      static_cast<std::uint32_t>(j) * 40503u;
+    return static_cast<int>((x >> 11) % kVars);
+  };
+
+  std::vector<Ref> built(kFunctions);
+  for (int k = 0; k < kFunctions; ++k) {
+    Ref f = kFalse;
+    for (int j = 0; j < 6; ++j) {
+      Ref term = mgr.land(mgr.var(pick(k, j)), mgr.nvar(pick(k + 1, j + 2)));
+      f = (k + j) % 3 ? mgr.lxor(f, term) : mgr.lor(f, term);
+    }
+    built[static_cast<std::size_t>(k)] = f;
+  }
+  const std::size_t nodes = mgr.node_count();
+  // Every node came from a distinct ite result, so the table was overrun.
+  ASSERT_GT(nodes, std::size_t{1} << BddManager::kComputedTableBits);
+
+  for (int k = kFunctions - 1; k >= 0; --k) {
+    Ref f = kFalse;
+    for (int j = 0; j < 6; ++j) {
+      Ref term = mgr.land(mgr.nvar(pick(k + 1, j + 2)), mgr.var(pick(k, j)));
+      f = (k + j) % 3 ? mgr.lxor(f, term) : mgr.lor(term, f);
+    }
+    EXPECT_EQ(f, built[static_cast<std::size_t>(k)]) << "function " << k;
+  }
+  EXPECT_EQ(mgr.node_count(), nodes);
+}
+
+// support() walks only the nodes reachable from its argument; in a manager
+// holding many unrelated nodes it must still match the semantic definition
+// (v is in the support iff the two cofactors on v differ).
+TEST(BddComputedTable, SupportMatchesCofactorDefinition) {
+  BddManager mgr;
+  constexpr int kVars = 12;
+  for (int v = 0; v < kVars; ++v) mgr.new_var("v" + std::to_string(v));
+  Ref f = kFalse;
+  for (int i = 0; i < 200; ++i) {
+    f = mgr.lxor(f, mgr.land(mgr.var(i % kVars), mgr.var((i * 5 + 1) % kVars)));
+    if (i % 17 != 0) continue;
+    std::vector<int> expect;
+    for (int v = 0; v < kVars; ++v)
+      if (mgr.restrict(f, v, true) != mgr.restrict(f, v, false))
+        expect.push_back(v);
+    EXPECT_EQ(mgr.support(f), expect) << "step " << i;
+  }
+  Ref small = mgr.lor(mgr.land(mgr.var(3), mgr.var(7)), mgr.nvar(10));
+  EXPECT_EQ(mgr.support(small), (std::vector<int>{3, 7, 10}));
 }
 
 // Property sweep: for every 3-variable function built from a random-ish

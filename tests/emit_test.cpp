@@ -1,23 +1,44 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "core/compiler.h"
 #include "core/record.h"
+#include "dspstone/kernels.h"
 #include "emit/asmout.h"
 #include "emit/encode.h"
 #include "ir/builder.h"
+#include "models/workload.h"
 
 namespace record::emit {
 namespace {
 
-const core::RetargetResult& c25() {
-  static const core::RetargetResult target = [] {
+const core::RetargetResult& builtin(const std::string& model) {
+  static std::map<std::string, std::unique_ptr<core::RetargetResult>> targets;
+  std::unique_ptr<core::RetargetResult>& t = targets[model];
+  if (!t) {
     util::DiagnosticSink diags;
-    auto r = core::Record::retarget_model("tms320c25",
-                                          core::RetargetOptions{}, diags);
-    EXPECT_TRUE(r) << diags.str();
-    return std::move(*r);
-  }();
-  return target;
+    auto r = core::Record::retarget_model(model, core::RetargetOptions{},
+                                          diags);
+    EXPECT_TRUE(r) << model << ": " << diags.str();
+    t = std::make_unique<core::RetargetResult>(std::move(*r));
+  }
+  return *t;
+}
+
+const core::RetargetResult& c25() { return builtin("tms320c25"); }
+
+std::vector<std::string> hex_words(const Assembly& assembly) {
+  std::vector<std::string> out;
+  for (const EncodedWord& w : assembly.words) out.push_back(w.hex());
+  return out;
 }
 
 core::CompileResult compile(const ir::Program& prog) {
@@ -99,6 +120,87 @@ TEST(Encode, HexRendering) {
   w.bits = {true, false, true, false, true, false, true, false};  // 0x55
   EXPECT_EQ(w.hex(), "55");
   EXPECT_EQ(w.to_u64(), 0x55u);
+}
+
+TEST(Encode, RetargetPrecomputesWriteConditions) {
+  const rtl::TemplateBase& base = *c25().base;
+  ASSERT_FALSE(base.writers.empty());
+  const std::size_t nodes = base.mgr->node_count();
+  // Recomputing finds every node already built at retarget time.
+  std::vector<rtl::StorageWriters> again = write_conditions(base);
+  EXPECT_EQ(base.mgr->node_count(), nodes);
+  ASSERT_EQ(again.size(), base.writers.size());
+  for (std::size_t i = 0; i < again.size(); ++i) {
+    const rtl::StorageWriters& a = again[i];
+    const rtl::StorageWriters& b = base.writers[i];
+    EXPECT_EQ(a.storage, b.storage);
+    EXPECT_EQ(a.any, b.any) << a.storage;
+    EXPECT_EQ(a.not_any, b.not_any) << a.storage;
+    ASSERT_EQ(a.each.size(), b.each.size()) << a.storage;
+    for (std::size_t j = 0; j < a.each.size(); ++j) {
+      EXPECT_EQ(a.each[j].tmpl, b.each[j].tmpl);
+      EXPECT_EQ(a.each[j].cond, b.each[j].cond);
+      EXPECT_EQ(a.each[j].not_cond, b.each[j].not_cond);
+    }
+  }
+}
+
+TEST(Encode, ReencodingIsIdenticalAndAddsNoNodes) {
+  const core::RetargetResult& target = c25();
+  core::CompileResult r =
+      compile(models::chain_program(models::kChainShapes[5], 8));
+  const std::size_t nodes = target.base->mgr->node_count();
+  util::DiagnosticSink diags;
+  EncodeResult again = encode(r.compacted.program, *target.base, diags);
+  EXPECT_TRUE(diags.ok()) << diags.str();
+  EXPECT_EQ(target.base->mgr->node_count(), nodes);
+  EXPECT_EQ(hex_words(again.assembly), hex_words(r.encoded.assembly));
+  EXPECT_EQ(again.stats.suppressed, r.encoded.stats.suppressed);
+}
+
+/// "<model>/chain32" is the chain workload; any other name is a DSPStone
+/// kernel (bound to tms320c25).
+ir::Program pinned_program(const std::string& model,
+                           const std::string& program) {
+  if (program != "chain32") return dspstone::kernel(program);
+  for (const models::ChainShape& s : models::kChainShapes)
+    if (model == s.model) return models::chain_program(s, 32);
+  throw std::invalid_argument("no chain shape for model " + model);
+}
+
+// Pinned encodings (tests/data/encode_fingerprints.txt): the chain32
+// workload on every built-in model and the ten DSPStone kernels must keep
+// compiling to the same bits and suppression counts, whatever the
+// scheduler, the encoder's shortcuts or the BDD package do inside.
+TEST(EncodeGolden, PinnedFingerprintsReproduce) {
+  std::ifstream in(std::string(RECORD_TESTS_DIR) +
+                   "/data/encode_fingerprints.txt");
+  ASSERT_TRUE(in);
+  int checked = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string name, counts;
+    fields >> name >> counts;
+    const std::vector<std::string> want{
+        std::istream_iterator<std::string>(fields),
+        std::istream_iterator<std::string>()};
+    const std::size_t slash = name.find('/');
+    ASSERT_NE(slash, std::string::npos) << line;
+    const std::string model = name.substr(0, slash);
+    ir::Program prog = pinned_program(model, name.substr(slash + 1));
+    util::DiagnosticSink diags;
+    auto r = core::Compiler(builtin(model))
+                 .compile(prog, core::CompileOptions{}, diags);
+    ASSERT_TRUE(r) << name << ": " << diags.str();
+    EXPECT_EQ(hex_words(r->encoded.assembly), want) << name;
+    EXPECT_EQ(std::to_string(r->encoded.stats.suppressed) + "/" +
+                  std::to_string(r->encoded.stats.unsuppressible),
+              counts)
+        << name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 16);
 }
 
 TEST(Asmout, ListingShowsAddressesAndComments) {
