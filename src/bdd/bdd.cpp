@@ -110,6 +110,18 @@ Ref BddManager::exists(Ref f, int v) {
   return ite_rec(restrict_rec(f, v, true), kTrue, restrict_rec(f, v, false));
 }
 
+Ref BddManager::constrain(Ref f, const std::vector<Ref>& terms,
+                          std::size_t* taken) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (Ref t : terms) {
+    Ref g = ite_rec(f, t, kFalse);
+    if (g == kFalse) continue;
+    f = g;
+    ++*taken;
+  }
+  return f;
+}
+
 bool BddManager::eval(Ref f, const Assignment& a) const {
   std::lock_guard<std::mutex> lock(mu_);
   while (!is_const(f)) {

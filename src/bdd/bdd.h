@@ -28,9 +28,9 @@
 // memo.
 //
 // Thread safety: every operation that touches the node table — construction
-// of new BDDs (ite, literal, restrict, compose, exists and the inline
-// connectives), queries and traversals (eval, any_sat, sat_count, support,
-// to_string, to_sop, top_var/low/high, node_count) — is internally
+// of new BDDs (ite, literal, restrict, compose, exists, constrain and the
+// inline connectives), queries and traversals (eval, any_sat, sat_count,
+// support, to_string, to_sop, top_var/low/high, node_count) — is internally
 // serialised by a per-manager mutex, so a manager owned by a shared
 // rtl::TemplateBase may be used by concurrent core::Compiler::compile jobs.
 // Variable *registration* is the exception: new_var is not synchronised
@@ -115,6 +115,12 @@ class BddManager {
 
   /// Existential quantification over one variable.
   [[nodiscard]] Ref exists(Ref f, int v);
+
+  /// Greedy constraint: conjoins `terms` into f in order, skipping each
+  /// term that would make the result FALSE. Adds the number of terms
+  /// conjoined to `*taken`. One lock covers the whole pass.
+  [[nodiscard]] Ref constrain(Ref f, const std::vector<Ref>& terms,
+                              std::size_t* taken);
 
   // --- queries -------------------------------------------------------------
 

@@ -195,6 +195,7 @@ std::optional<TargetArtifacts> TargetCache::load(std::uint64_t key) const {
   read_extend_stats(r, a.extend_stats);
   read_build_stats(r, a.grammar_stats);
   if (!read_template_base(r, a.base)) return reject();
+  a.base.writers = rtl::write_conditions(a.base);
   if (!read_grammar(r, a.grammar)) return reject();
   bool has_tables = r.u8() != 0;
   if (!r.ok()) return reject();

@@ -74,6 +74,8 @@ class TargetCache {
   [[nodiscard]] static std::uint64_t key_of(std::string_view hdl_source,
                                             std::string_view options_digest);
 
+  /// The loaded base is complete: its write conditions
+  /// (rtl::TemplateBase::writers) are rebuilt from the templates.
   [[nodiscard]] std::optional<TargetArtifacts> load(std::uint64_t key) const;
 
   /// Serialises and atomically publishes (write + rename) the artifacts.

@@ -1,7 +1,6 @@
 #include "compact/compact.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <map>
 #include <set>
@@ -99,7 +98,7 @@ class Compactor {
     if (n == 0) return;
     bdd::BddManager& mgr = *base_.mgr;
 
-    // Dependence edges always run forward in region order (depdag.h), so
+    // Dependence edges always run forward in region order (DepEdge), so
     // one reverse sweep settles critical-path heights, and each RT keeps
     // a count of unscheduled predecessors plus the earliest cycle its
     // scheduled ones allow. Placing an RT updates its successors at once,
@@ -108,7 +107,6 @@ class Compactor {
     std::vector<std::vector<const DepEdge*>> succs(n);
     std::vector<int> preds_left(n, 0);
     for (const DepEdge& e : region.edges) {
-      assert(e.from < e.to);
       succs[e.from].push_back(&e);
       ++preds_left[e.to];
     }

@@ -1,10 +1,17 @@
 #include "compact/depdag.h"
 
 #include <map>
+#include <stdexcept>
 
 namespace record::compact {
 
 namespace {
+
+void add_edge(Region& region, DepEdge e) {
+  if (e.from >= e.to)
+    throw std::logic_error("dependence edge does not run forward");
+  region.edges.push_back(e);
+}
 
 void add_region_edges(Region& region) {
   // For every location: last writer and readers since that write.
@@ -19,18 +26,18 @@ void add_region_edges(Region& region) {
     for (const std::string& r : rt.reads) {
       LocState& st = locs[r];
       if (st.last_writer >= 0)
-        region.edges.push_back(
-            DepEdge{static_cast<std::size_t>(st.last_writer), i, 1});  // RAW
+        add_edge(region, DepEdge{static_cast<std::size_t>(st.last_writer),
+                                 i, 1});  // RAW
       st.readers_since_write.push_back(i);
     }
     if (!rt.dest.empty()) {
       LocState& st = locs[rt.dest];
       if (st.last_writer >= 0)
-        region.edges.push_back(
-            DepEdge{static_cast<std::size_t>(st.last_writer), i, 1});  // WAW
+        add_edge(region, DepEdge{static_cast<std::size_t>(st.last_writer),
+                                 i, 1});  // WAW
       for (std::size_t reader : st.readers_since_write)
         if (reader != i)
-          region.edges.push_back(DepEdge{reader, i, 0});  // WAR
+          add_edge(region, DepEdge{reader, i, 0});  // WAR
       st.last_writer = static_cast<std::ptrdiff_t>(i);
       st.readers_since_write.clear();
     }
@@ -41,7 +48,7 @@ void add_region_edges(Region& region) {
   if (region.ends_with_branch && !region.rts.empty()) {
     std::size_t b = region.rts.size() - 1;
     for (std::size_t i = 0; i < b; ++i)
-      region.edges.push_back(DepEdge{i, b, 0, /*control=*/true});
+      add_edge(region, DepEdge{i, b, 0, /*control=*/true});
   }
 }
 

@@ -20,6 +20,9 @@
 
 namespace record::compact {
 
+/// Edges run forward in region order: `from < to` always. build_regions
+/// checks it on every edge it adds, and the scheduler relies on it to
+/// settle critical-path heights in one reverse sweep.
 struct DepEdge {
   std::size_t from = 0;
   std::size_t to = 0;
@@ -39,7 +42,8 @@ struct Region {
 };
 
 /// Splits the selection result at labels/branches and builds per-region
-/// dependence edges.
+/// dependence edges. Throws std::logic_error on a backward edge (an
+/// internal error: every edge ends at the RT that induces it).
 [[nodiscard]] std::vector<Region> build_regions(
     const select::SelectionResult& sel);
 

@@ -8,7 +8,6 @@
 #include <mutex>
 
 #include "burstab/cache.h"
-#include "emit/encode.h"
 #include "grammar/bnf.h"
 #include "hdl/parser.h"
 #include "hdl/sema.h"
@@ -122,7 +121,6 @@ std::optional<RetargetResult> Record::retarget(
       result.processor = std::move(art->processor);
       result.tree_grammar = std::move(art->grammar);
       result.tables = std::move(art->tables);
-      art->base.writers = emit::write_conditions(art->base);
       result.base = std::make_shared<const rtl::TemplateBase>(
           std::move(art->base));
       result.extract_stats = art->extract_stats;
@@ -189,9 +187,6 @@ std::optional<RetargetResult> Record::retarget(
   result.tree_grammar = std::move(built.grammar);
   result.times.record("grammar", timer.seconds());
 
-  // Per-target encode conditions, built once; the base is read-only from
-  // here on.
-  extraction.base.writers = emit::write_conditions(extraction.base);
   result.base = std::make_shared<const rtl::TemplateBase>(
       std::move(extraction.base));
 

@@ -1,9 +1,9 @@
 #include "emit/encode.h"
 
 #include <algorithm>
+#include <cassert>
 #include <sstream>
 #include <string_view>
-#include <utility>
 
 #include "util/strings.h"
 
@@ -35,43 +35,6 @@ std::uint64_t EncodedWord::to_u64() const {
   return v;
 }
 
-/// "Could template fire?" conditions per storage, with data-dependent AND
-/// mode-register variables existentially quantified (pessimistic). Mode
-/// vars must go too: suppression is applied by constraining instruction
-/// bits, and a don't-care slot whose function comes from a mode register
-/// would otherwise be "suppressed" by any_sat choosing a fantasy mode the
-/// running machine is not in — the slot then fires at runtime and silently
-/// clobbers its destination. `any` is the OR over all writers of the
-/// storage; `each` keeps the per-template conditions so a word that writes
-/// a storage can still forbid the *other* writers of that storage
-/// (required on multi-issue machines, where a second slot's don't-care
-/// bits could otherwise be filled to write the same location — a
-/// decode-time write contention).
-std::vector<rtl::StorageWriters> write_conditions(
-    const rtl::TemplateBase& base) {
-  bdd::BddManager& mgr = *base.mgr;
-  std::map<std::string, rtl::StorageWriters> by_storage;
-  for (std::size_t i = 0; i < base.templates.size(); ++i) {
-    const rtl::RTTemplate& t = base.templates[i];
-    bdd::Ref c = t.cond;
-    for (int v : mgr.support(c)) {
-      const std::string& n = mgr.var_name(v);
-      if (n.rfind("I[", 0) != 0) c = mgr.exists(c, v);
-    }
-    rtl::StorageWriters& sw = by_storage[t.dest];
-    sw.any = mgr.lor(sw.any, c);
-    sw.each.push_back({i, c, mgr.lnot(c)});
-  }
-  std::vector<rtl::StorageWriters> out;
-  out.reserve(by_storage.size());
-  for (auto& [storage, sw] : by_storage) {
-    sw.storage = storage;
-    sw.not_any = mgr.lnot(sw.any);
-    out.push_back(std::move(sw));
-  }
-  return out;
-}
-
 EncodeResult encode(const compact::CompactedProgram& prog,
                     const rtl::TemplateBase& base,
                     util::DiagnosticSink& diags) {
@@ -86,24 +49,18 @@ EncodeResult encode(const compact::CompactedProgram& prog,
     addr += static_cast<int>(r.words.size());
   }
 
-  // Targets from core::Record::retarget carry their write conditions.
-  std::vector<rtl::StorageWriters> derived;
-  if (base.writers.empty()) derived = write_conditions(base);
-  const std::vector<rtl::StorageWriters>& writers =
-      base.writers.empty() ? derived : base.writers;
+  // The base's write conditions must cover its current templates
+  // (rtl::TemplateBase::writers).
+#ifndef NDEBUG
+  std::size_t covered = 0;
+  for (const rtl::StorageWriters& sw : base.writers)
+    covered += sw.each.size();
+  assert(covered == base.templates.size());
+#endif
 
-  // Suppression products per word shape (the storages a word writes and
-  // the templates it uses), for this call only.
-  using Shape = std::pair<std::vector<std::string_view>,
-                          std::vector<const rtl::RTTemplate*>>;
-  struct Product {
-    bdd::Ref scope = bdd::kTrue;  // AND of the shape's template conditions
-    bdd::Ref cond = bdd::kTrue;   // AND of the terms not disjoint from scope
-    std::size_t taken = 0;
-    std::size_t skipped = 0;
-  };
-  std::map<Shape, Product> products;
-
+  std::vector<std::string_view> written;
+  std::vector<const rtl::RTTemplate*> own;
+  std::vector<bdd::Ref> terms;
   addr = 0;
   for (const compact::CompactedRegion& r : prog.regions) {
     bool first_in_region = true;
@@ -143,65 +100,31 @@ EncodeResult encode(const compact::CompactedProgram& prog,
       // Side-effect suppression. A storage the word does not write must not
       // be written by any template; a storage the word DOES write must not
       // also be written by a template outside the word's own RTs (two units
-      // writing one location is a decode-time contention). Each such
-      // "must not write" term is conjoined greedily, skipping any that
-      // would make the word unsatisfiable.
-      Shape key;
+      // writing one location is a decode-time contention). The "must not
+      // write" terms are conjoined greedily in one locked pass, skipping
+      // any that would make the word unsatisfiable.
+      written.clear();
+      own.clear();
       for (const select::SelectedRT* rt : w.rts) {
-        key.first.push_back(rt->dest);
-        key.second.push_back(rt->tmpl);
+        written.push_back(rt->dest);
+        if (rt->tmpl) own.push_back(rt->tmpl);
       }
-      auto [it, fresh] = products.try_emplace(std::move(key));
-      const auto& [written, own] = it->first;
-      auto for_each_term = [&](auto&& apply) {
-        for (const rtl::StorageWriters& sw : writers) {
-          if (std::find(written.begin(), written.end(), sw.storage) ==
-              written.end()) {
-            apply(sw.not_any);
-            continue;
-          }
-          for (const rtl::StorageWriters::Writer& wr : sw.each)
-            if (std::find(own.begin(), own.end(),
-                          &base.templates[wr.tmpl]) == own.end())
-              apply(wr.not_cond);
+      terms.clear();
+      for (const rtl::StorageWriters& sw : base.writers) {
+        if (std::find(written.begin(), written.end(), sw.storage) ==
+            written.end()) {
+          terms.push_back(sw.not_any);
+          continue;
         }
-      };
-      // The terms depend only on the word's shape. Every word of a shape
-      // implies its templates' conditions, so a term disjoint from those
-      // is one the greedy pass must skip; if the word stays satisfiable
-      // under all the other terms at once, the pass would take each of
-      // them, and the result is the same function in any order. One
-      // conjunction with the shape's product then replaces the pass.
-      Product& product = it->second;
-      if (fresh) {
-        for (const rtl::RTTemplate* t : own)
-          if (t) product.scope = mgr.land(product.scope, t->cond);
-        for_each_term([&](bdd::Ref term) {
-          if (mgr.disjoint(product.scope, term)) {
-            ++product.skipped;
-          } else {
-            product.cond = mgr.land(product.cond, term);
-            ++product.taken;
-          }
-        });
+        for (const rtl::StorageWriters::Writer& wr : sw.each)
+          if (std::find(own.begin(), own.end(), &base.templates[wr.tmpl]) ==
+              own.end())
+            terms.push_back(wr.not_cond);
       }
-      bdd::Ref all = bdd::kFalse;
-      if (mgr.implies(cond, product.scope)) all = mgr.land(cond, product.cond);
-      if (all != bdd::kFalse) {
-        cond = all;
-        result.stats.suppressed += product.taken;
-        result.stats.unsuppressible += product.skipped;
-      } else {
-        for_each_term([&](bdd::Ref term) {
-          bdd::Ref guarded = mgr.land(cond, term);
-          if (guarded != bdd::kFalse) {
-            cond = guarded;
-            ++result.stats.suppressed;
-          } else {
-            ++result.stats.unsuppressible;
-          }
-        });
-      }
+      std::size_t taken = 0;
+      cond = mgr.constrain(cond, terms, &taken);
+      result.stats.suppressed += taken;
+      result.stats.unsuppressible += terms.size() - taken;
 
       if (cond == bdd::kFalse) {
         diags.error({}, "instruction word condition unsatisfiable after "

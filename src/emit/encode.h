@@ -8,7 +8,7 @@
 //      not write, the instruction bits are chosen - when satisfiable - so
 //      that no template writing that storage can fire ("don't-care
 //      completion" of the partial instruction); the per-storage writer
-//      conditions are computed once per target (write_conditions),
+//      conditions are computed once per target (rtl::write_conditions),
 //   3. extracts one satisfying assignment of the instruction bits; unused
 //      bits default to 0.
 #pragma once
@@ -53,12 +53,8 @@ struct EncodeResult {
   EncodeStats stats;
 };
 
-/// Per-storage write conditions of a template base for side-effect
-/// suppression (rtl::TemplateBase::writers). Quantifies every template
-/// condition, so it runs once per target, at retarget time.
-[[nodiscard]] std::vector<rtl::StorageWriters> write_conditions(
-    const rtl::TemplateBase& base);
-
+/// Reads the suppression terms from `base.writers`, which must be filled
+/// (rtl::write_conditions); every target from core::Record::retarget is.
 [[nodiscard]] EncodeResult encode(const compact::CompactedProgram& prog,
                                   const rtl::TemplateBase& base,
                                   util::DiagnosticSink& diags);

@@ -112,6 +112,7 @@ ExtendStats extend_template_base(TemplateBase& base,
     }
   }
 
+  base.writers = write_conditions(base);
   return stats;
 }
 

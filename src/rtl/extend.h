@@ -33,7 +33,8 @@ struct ExtendStats {
   std::size_t variant_capped = 0;  // templates whose variants hit the cap
 };
 
-/// Extends `base` in place.
+/// Extends `base` in place, then fills its write conditions
+/// (TemplateBase::writers) for the extended template set.
 ExtendStats extend_template_base(TemplateBase& base,
                                  const ExtendOptions& options);
 

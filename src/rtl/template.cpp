@@ -1,5 +1,6 @@
 #include "rtl/template.h"
 
+#include <map>
 #include <sstream>
 #include <unordered_set>
 
@@ -223,6 +224,30 @@ bool TemplateBase::add_unique(RTTemplate t) {
   t.id = static_cast<int>(templates.size());
   templates.push_back(std::move(t));
   return true;
+}
+
+std::vector<StorageWriters> write_conditions(const TemplateBase& base) {
+  bdd::BddManager& mgr = *base.mgr;
+  std::map<std::string, StorageWriters> by_storage;
+  for (std::size_t i = 0; i < base.templates.size(); ++i) {
+    const RTTemplate& t = base.templates[i];
+    bdd::Ref c = t.cond;
+    for (int v : mgr.support(c)) {
+      const std::string& n = mgr.var_name(v);
+      if (n.rfind("I[", 0) != 0) c = mgr.exists(c, v);
+    }
+    StorageWriters& sw = by_storage[t.dest];
+    sw.any = mgr.lor(sw.any, c);
+    sw.each.push_back({i, c, mgr.lnot(c)});
+  }
+  std::vector<StorageWriters> out;
+  out.reserve(by_storage.size());
+  for (auto& [storage, sw] : by_storage) {
+    sw.storage = storage;
+    sw.not_any = mgr.lnot(sw.any);
+    out.push_back(std::move(sw));
+  }
+  return out;
 }
 
 }  // namespace record::rtl

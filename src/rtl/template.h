@@ -121,7 +121,7 @@ struct PortInInfo {
 /// Which templates can write one storage, as instruction-bit conditions
 /// (every other variable existentially quantified out), with negations
 /// precomputed. The encoder's side-effect suppression reads these for
-/// every word; see emit::write_conditions.
+/// every word; see write_conditions.
 struct StorageWriters {
   struct Writer {
     std::size_t tmpl = 0;  // index into TemplateBase::templates
@@ -151,10 +151,12 @@ struct TemplateBase {
   /// Architectural branch delay slots: a write to the program counter lands
   /// this many instruction words late (HDL `DELAY n` on the PC register).
   int branch_delay_slots = 0;
-  /// Per-storage write conditions, sorted by storage name. Derived data:
-  /// core::Record::retarget fills it once per target, after which it is
-  /// only read. Empty on a base built by other means; emit::encode then
-  /// derives the conditions per call.
+  /// Per-storage write conditions (write_conditions), sorted by storage
+  /// name. Derived data, filled by the last step that changes the base:
+  /// extend_template_base on a cold retarget, the target cache on a load.
+  /// The templates and their conditions must not change afterwards; the
+  /// encoder reads these instead of the templates, and debug builds check
+  /// that they cover every template.
   std::vector<StorageWriters> writers;
 
   [[nodiscard]] std::size_t size() const { return templates.size(); }
@@ -169,5 +171,21 @@ struct TemplateBase {
  private:
   std::unordered_map<std::string, std::size_t> signature_index_;
 };
+
+/// "Could template fire?" conditions per storage, with data-dependent AND
+/// mode-register variables existentially quantified (pessimistic). Mode
+/// vars must go too: suppression is applied by constraining instruction
+/// bits, and a don't-care slot whose function comes from a mode register
+/// would otherwise be "suppressed" by any_sat choosing a fantasy mode the
+/// running machine is not in — the slot then fires at runtime and silently
+/// clobbers its destination. `any` is the OR over all writers of the
+/// storage; `each` keeps the per-template conditions so a word that writes
+/// a storage can still forbid the *other* writers of that storage
+/// (required on multi-issue machines, where a second slot's don't-care
+/// bits could otherwise be filled to write the same location — a
+/// decode-time write contention). Quantifies every template condition, so
+/// it runs once per target, when the base is complete.
+[[nodiscard]] std::vector<StorageWriters> write_conditions(
+    const TemplateBase& base);
 
 }  // namespace record::rtl

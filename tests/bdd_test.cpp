@@ -97,6 +97,20 @@ TEST_F(BddTest, ImpliesAndDisjoint) {
   EXPECT_FALSE(mgr.disjoint(mgr.var(a), mgr.var(b)));
 }
 
+TEST_F(BddTest, ConstrainSkipsTermsThatContradict) {
+  // !a contradicts a; b and c are taken in order.
+  Ref f = mgr.var(a);
+  std::size_t taken = 0;
+  Ref g = mgr.constrain(
+      f, {mgr.var(b), mgr.nvar(a), mgr.lor(mgr.var(c), mgr.nvar(b))}, &taken);
+  EXPECT_EQ(taken, 2u);
+  EXPECT_EQ(g, mgr.land(mgr.land(mgr.var(a), mgr.var(b)), mgr.var(c)));
+  // Nothing can be conjoined into FALSE.
+  taken = 0;
+  EXPECT_EQ(mgr.constrain(kFalse, {kTrue, mgr.var(a)}, &taken), kFalse);
+  EXPECT_EQ(taken, 0u);
+}
+
 TEST_F(BddTest, AnySatReturnsModel) {
   Ref f = mgr.land(mgr.var(a), mgr.lnot(mgr.var(b)));
   auto model = mgr.any_sat(f);

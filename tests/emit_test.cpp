@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -127,7 +128,7 @@ TEST(Encode, RetargetPrecomputesWriteConditions) {
   ASSERT_FALSE(base.writers.empty());
   const std::size_t nodes = base.mgr->node_count();
   // Recomputing finds every node already built at retarget time.
-  std::vector<rtl::StorageWriters> again = write_conditions(base);
+  std::vector<rtl::StorageWriters> again = rtl::write_conditions(base);
   EXPECT_EQ(base.mgr->node_count(), nodes);
   ASSERT_EQ(again.size(), base.writers.size());
   for (std::size_t i = 0; i < again.size(); ++i) {
@@ -143,6 +144,42 @@ TEST(Encode, RetargetPrecomputesWriteConditions) {
       EXPECT_EQ(a.each[j].not_cond, b.each[j].not_cond);
     }
   }
+}
+
+// A target loaded from the cache rebuilds the same write conditions as the
+// cold retarget, and encodes to the same bits.
+TEST(Encode, CacheLoadedTargetCarriesWriteConditions) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "record-emit-writers-cache")
+          .string();
+  std::filesystem::remove_all(dir);
+  core::RetargetOptions options;
+  options.use_target_cache = true;
+  options.cache_dir = dir;
+  util::DiagnosticSink diags;
+  auto cold = core::Record::retarget_model("tms320c25", options, diags);
+  ASSERT_TRUE(cold) << diags.str();
+  auto warm = core::Record::retarget_model("tms320c25", options, diags);
+  ASSERT_TRUE(warm) << diags.str();
+  EXPECT_TRUE(warm->cache_hit);
+  std::filesystem::remove_all(dir);
+
+  const std::vector<rtl::StorageWriters>& a = cold->base->writers;
+  const std::vector<rtl::StorageWriters>& b = warm->base->writers;
+  ASSERT_FALSE(a.empty());
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].storage, b[i].storage);
+    ASSERT_EQ(a[i].each.size(), b[i].each.size()) << a[i].storage;
+    for (std::size_t j = 0; j < a[i].each.size(); ++j)
+      EXPECT_EQ(a[i].each[j].tmpl, b[i].each[j].tmpl);
+  }
+  const ir::Program prog = dspstone::kernel("fir");
+  auto from_cold = core::Compiler(*cold).compile(prog, {}, diags);
+  auto from_warm = core::Compiler(*warm).compile(prog, {}, diags);
+  ASSERT_TRUE(from_cold && from_warm) << diags.str();
+  EXPECT_EQ(hex_words(from_warm->encoded.assembly),
+            hex_words(from_cold->encoded.assembly));
 }
 
 TEST(Encode, ReencodingIsIdenticalAndAddsNoNodes) {
@@ -171,7 +208,7 @@ ir::Program pinned_program(const std::string& model,
 // Pinned encodings (tests/data/encode_fingerprints.txt): the chain32
 // workload on every built-in model and the ten DSPStone kernels must keep
 // compiling to the same bits and suppression counts, whatever the
-// scheduler, the encoder's shortcuts or the BDD package do inside.
+// scheduler, the encoder or the BDD package do inside.
 TEST(EncodeGolden, PinnedFingerprintsReproduce) {
   std::ifstream in(std::string(RECORD_TESTS_DIR) +
                    "/data/encode_fingerprints.txt");

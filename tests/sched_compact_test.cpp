@@ -196,6 +196,23 @@ TEST(DepDag, RawEdgesHaveLatencyOne) {
   EXPECT_TRUE(lt_to_mpy);
 }
 
+TEST(DepDag, EdgesRunForward) {
+  ir::ProgramBuilder b("t");
+  b.reg("acc", "ACC");
+  b.let("acc", ir::e_const(0));
+  b.label("top");
+  b.let("acc", ir::e_const(1));
+  b.program().branch_if_not_zero("acc", "top");
+  std::vector<ir::Program> progs;
+  progs.push_back(mac_program());
+  progs.push_back(b.take());
+  for (const ir::Program& prog : progs) {
+    select::SelectionResult sel = select_program(prog);
+    for (const compact::Region& r : compact::build_regions(sel))
+      for (const compact::DepEdge& e : r.edges) EXPECT_LT(e.from, e.to);
+  }
+}
+
 TEST(Compact, MacPairsFuseIntoMpya) {
   // Three chained products: the pending accumulate of product i packs with
   // the multiply of product i+1 (both encodable under the MPYA opcode).
