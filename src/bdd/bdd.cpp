@@ -20,12 +20,6 @@ int BddManager::new_var(std::string name) {
   return static_cast<int>(names_.size()) - 1;
 }
 
-int BddManager::find_var(std::string_view name) const {
-  for (std::size_t i = 0; i < names_.size(); ++i)
-    if (names_[i] == name) return static_cast<int>(i);
-  return -1;
-}
-
 Ref BddManager::literal(int v, bool positive) {
   assert(v >= 0 && v < var_count());
   std::lock_guard<std::mutex> lock(mu_);

@@ -34,17 +34,15 @@
 // serialised by a per-manager mutex, so a manager owned by a shared
 // rtl::TemplateBase may be used by concurrent core::Compiler::compile jobs.
 // Variable *registration* is the exception: new_var is not synchronised
-// against var_name/var_count/find_var readers, so all variables must be
-// registered before the manager is shared across threads. The retargeting
-// pipeline satisfies this: it registers variables single-threaded, and
-// compile-time users only read the variable table.
+// against var_name/var_count readers. Variables are registered only by
+// instruction-set extraction and the target cache load, both before the
+// manager is shared; compile jobs register none.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -84,9 +82,6 @@ class BddManager {
 
   [[nodiscard]] int var_count() const { return static_cast<int>(names_.size()); }
   [[nodiscard]] const std::string& var_name(int v) const { return names_.at(static_cast<std::size_t>(v)); }
-
-  /// Finds a variable by name; -1 if absent.
-  [[nodiscard]] int find_var(std::string_view name) const;
 
   // --- leaf/literal constructors -----------------------------------------
 

@@ -1,6 +1,7 @@
 #include "burstab/serialize.h"
 
 #include <cstring>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -366,9 +367,16 @@ bool read_template_base(ByteReader& r, rtl::TemplateBase& base) {
     r.fail();
     return false;
   }
-  for (std::uint32_t i = 0; i < vars && r.ok(); ++i)
-    (void)base.mgr->new_var(r.str());
+  for (std::uint32_t i = 0; i < vars && r.ok(); ++i) {
+    std::optional<rtl::Var> v = rtl::parse_var_name(r.str());
+    if (!v) {
+      r.fail();
+      return false;
+    }
+    (void)base.vars.add(*base.mgr, std::move(*v));
+  }
   base.instruction_width = r.i32();
+  if (!base.vars.instr_bits_lead(base.instruction_width)) r.fail();
   base.branch_delay_slots = r.i32();
   std::uint32_t storages = r.u32();
   if (storages > 1u << 16) r.fail();

@@ -20,27 +20,20 @@ std::size_t CompactedProgram::word_count() const {
 
 namespace {
 
-/// Required mode-register literals of a condition: variables `M:...` whose
+/// Required mode-register literals of a condition: mode variables whose
 /// phase is forced (cond implies var=b).
 std::vector<std::pair<int, bool>> required_modes(bdd::BddManager& mgr,
+                                                 const rtl::VarTable& vars,
                                                  bdd::Ref cond) {
   std::vector<std::pair<int, bool>> out;
   for (int v : mgr.support(cond)) {
-    if (mgr.var_name(v).rfind("M:", 0) != 0) continue;
+    if (vars[v].kind != rtl::Var::Kind::kMode) continue;
     bool sat_pos = mgr.land(cond, mgr.var(v)) != bdd::kFalse;
     bool sat_neg = mgr.land(cond, mgr.nvar(v)) != bdd::kFalse;
     if (sat_pos && !sat_neg) out.emplace_back(v, true);
     if (!sat_pos && sat_neg) out.emplace_back(v, false);
   }
   return out;
-}
-
-/// Parses "M:<inst>[k]" -> (inst, k).
-std::pair<std::string, int> parse_mode_var(const std::string& name) {
-  std::size_t lb = name.rfind('[');
-  std::string inst = name.substr(2, lb - 2);
-  int bit = std::stoi(name.substr(lb + 1, name.size() - lb - 2));
-  return {inst, bit};
 }
 
 class Compactor {
@@ -238,11 +231,10 @@ class Compactor {
     // Instances whose state the branch condition reads dynamically.
     std::set<std::string> cond_insts;
     for (int v : mgr.support(branch.cond)) {
-      const std::string& n = mgr.var_name(v);
-      if (n.rfind("S:", 0) == 0 || n.rfind("M:", 0) == 0) {
-        std::string rest = n.substr(2);
-        cond_insts.insert(rest.substr(0, rest.find_first_of(".[")));
-      }
+      const rtl::Var& var = base_.vars[v];
+      if (var.kind == rtl::Var::Kind::kMode ||
+          var.kind == rtl::Var::Kind::kStorage)
+        cond_insts.insert(var.inst);
     }
     auto writes_sensitive = [&](const Word& x) {
       for (const select::SelectedRT* rt : x.rts)
@@ -280,11 +272,11 @@ class Compactor {
     if (!options_.handle_modes) return;
     bdd::BddManager& mgr = *base_.mgr;
     std::map<std::string, std::map<int, bool>> needed;  // inst -> bit -> val
-    for (const auto& [var, val] : required_modes(mgr, w.cond)) {
+    for (const auto& [var, val] : required_modes(mgr, base_.vars, w.cond)) {
       auto it = mode_state_.find(var);
       if (it != mode_state_.end() && it->second == val) continue;
-      auto [inst, bit] = parse_mode_var(mgr.var_name(var));
-      needed[inst][bit] = val;
+      const rtl::Var& mode = base_.vars[var];
+      needed[mode.inst][mode.bit] = val;
       mode_state_[var] = val;
     }
     for (auto& [inst, bits] : needed) {
@@ -297,7 +289,7 @@ class Compactor {
       const int width = s ? s->width : 0;
       for (int bit = 0; bit < width; ++bit) {
         if (bits.count(bit)) continue;
-        int var = mgr.find_var(fmt("M:{}[{}]", inst, bit));
+        int var = base_.vars.mode_var(inst, bit);
         auto it = var >= 0 ? mode_state_.find(var) : mode_state_.end();
         bool val;
         if (it != mode_state_.end()) {
@@ -330,19 +322,18 @@ class Compactor {
     // simulators also use.
     bdd::Ref baked = w.cond;
     for (int v : mgr.support(w.cond)) {
-      const std::string& name = mgr.var_name(v);
-      if (name.rfind("M:", 0) != 0) continue;
+      const rtl::Var& mode = base_.vars[v];
+      if (mode.kind != rtl::Var::Kind::kMode) continue;
       auto it = mode_state_.find(v);
       bool val;
       if (it != mode_state_.end()) {
         val = it->second;
       } else {
-        auto [inst, bit] = parse_mode_var(name);
-        const rtl::StorageInfo* s = base_.find_storage(inst);
+        const rtl::StorageInfo* s = base_.find_storage(mode.inst);
         if (!s) continue;  // unknown mode register: leave the var free
         std::uint64_t reset = static_cast<std::uint64_t>(
-            sim::initial_value(inst, 0, s->width));
-        val = ((reset >> bit) & 1u) != 0;
+            sim::initial_value(mode.inst, 0, s->width));
+        val = ((reset >> mode.bit) & 1u) != 0;
         mode_state_[v] = val;
       }
       baked = mgr.land(baked, mgr.literal(v, val));
@@ -372,8 +363,8 @@ class Compactor {
         b.value = value;
         rt->imms.push_back(b);
         for (std::size_t j = 0; j < b.field_bits->size(); ++j) {
-          int var = mgr.find_var(fmt("I[{}]", (*b.field_bits)[j]));
-          if (var < 0) continue;
+          int var = (*b.field_bits)[j];  // I[k] is variable k
+          if (var < 0 || var >= base_.instruction_width) continue;
           bool bit = ((static_cast<std::uint64_t>(value) >> j) & 1u) != 0;
           rt->cond = mgr.land(rt->cond, mgr.literal(var, bit));
         }

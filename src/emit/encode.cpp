@@ -87,8 +87,8 @@ EncodeResult encode(const compact::CompactedProgram& prog,
             if (rt->tmpl->value->kind != rtl::RTNode::Kind::Imm) continue;
             const std::vector<int>& field = rt->tmpl->value->imm_bits;
             for (std::size_t j = 0; j < field.size(); ++j) {
-              int var = mgr.find_var(fmt("I[{}]", field[j]));
-              if (var < 0) continue;
+              int var = field[j];  // I[k] is variable k
+              if (var < 0 || var >= iw) continue;
               bool bit =
                   ((static_cast<std::uint64_t>(it->second) >> j) & 1u) != 0;
               cond = mgr.land(cond, mgr.literal(var, bit));
@@ -134,13 +134,9 @@ EncodeResult encode(const compact::CompactedProgram& prog,
 
       ew.bits.assign(static_cast<std::size_t>(iw), false);
       if (auto sat = mgr.any_sat(cond)) {
-        for (const auto& [var, val] : *sat) {
-          const std::string& n = mgr.var_name(var);
-          if (n.rfind("I[", 0) == 0) {
-            int k = std::stoi(n.substr(2, n.size() - 3));
-            if (k >= 0 && k < iw) ew.bits[static_cast<std::size_t>(k)] = val;
-          }
-        }
+        for (const auto& [var, val] : *sat)
+          if (var < iw)  // an instruction bit: I[k] is variable k
+            ew.bits[static_cast<std::size_t>(var)] = val;
       }
       result.assembly.words.push_back(std::move(ew));
     }

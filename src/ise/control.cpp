@@ -1,5 +1,7 @@
 #include "ise/control.h"
 
+#include <cassert>
+
 #include "util/strings.h"
 
 namespace record::ise {
@@ -11,42 +13,28 @@ using hdl::PortClass;
 using netlist::InstanceId;
 using netlist::NetSource;
 using util::fmt;
+using Opaque = rtl::Var::Opaque;
 
 ControlAnalyzer::ControlAnalyzer(const netlist::Netlist& nl,
-                                 bdd::BddManager& mgr,
+                                 bdd::BddManager& mgr, rtl::VarTable& vars,
                                  util::DiagnosticSink& diags)
-    : nl_(nl), mgr_(mgr), diags_(diags) {
-  first_instr_var_ = mgr_.var_count();
+    : nl_(nl), mgr_(mgr), vars_(vars), diags_(diags) {
+  assert(mgr_.var_count() == 0 && vars_.size() == 0);
   for (int k = 0; k < nl_.instruction_width(); ++k)
-    (void)mgr_.new_var(fmt("I[{}]", k));
+    (void)vars_.add(mgr_, rtl::Var::instr(k));
 }
 
-bool ControlAnalyzer::is_instruction_var(int v) const {
-  return v >= first_instr_var_ &&
-         v < first_instr_var_ + nl_.instruction_width();
-}
-
-bool ControlAnalyzer::is_mode_var(int v) const {
-  return mgr_.var_name(v).rfind("M:", 0) == 0;
-}
-
-bool ControlAnalyzer::is_dynamic_var(int v) const {
-  return !is_instruction_var(v) && !is_mode_var(v);
-}
-
-int ControlAnalyzer::instruction_var(int k) const {
-  return first_instr_var_ + k;
-}
-
-bdd::BitVec ControlAnalyzer::dynamic_bits(const std::string& tag, int width) {
-  auto it = dynamic_memo_.find(tag);
+bdd::BitVec ControlAnalyzer::dynamic_bits(rtl::Var stem, int width) {
+  auto it = dynamic_memo_.find(stem);
   if (it != dynamic_memo_.end()) return it->second;
   std::vector<bdd::Ref> bits(static_cast<std::size_t>(width));
-  for (int i = 0; i < width; ++i)
-    bits[static_cast<std::size_t>(i)] =
-        mgr_.var(mgr_.new_var(fmt("{}[{}]", tag, i)));
+  rtl::Var v = stem;
+  for (int i = 0; i < width; ++i) {
+    v.bit = i;
+    bits[static_cast<std::size_t>(i)] = mgr_.var(vars_.add(mgr_, v));
+  }
   bdd::BitVec vec(std::move(bits));
-  dynamic_memo_.emplace(tag, vec);
+  dynamic_memo_.emplace(std::move(stem), vec);
   return vec;
 }
 
@@ -71,7 +59,8 @@ bdd::BitVec ControlAnalyzer::out_port_bits(InstanceId inst,
       diags_.warning({}, fmt("combinational cycle through '{}'; treating as "
                              "dynamic signal",
                              key));
-    return dynamic_bits("S:cyc:" + key, width);
+    return dynamic_bits(
+        rtl::Var::opaque(Opaque::kCycle, in.name, std::string(port), 0), width);
   }
 
   bdd::BitVec result;
@@ -84,13 +73,14 @@ bdd::BitVec ControlAnalyzer::out_port_bits(InstanceId inst,
       break;
     }
     case ModuleKind::ModeReg:
-      result = dynamic_bits("M:" + in.name, width);
+      result = dynamic_bits(rtl::Var::mode(in.name, 0), width);
       break;
     case ModuleKind::Register:
     case ModuleKind::Memory:
       // Data storage read as a control signal: data-dependent (e.g. status
       // flags feeding conditional-branch control).
-      result = dynamic_bits("S:" + key, width);
+      result = dynamic_bits(
+          rtl::Var::storage(in.name, std::string(port), 0), width);
       break;
     case ModuleKind::Combinational: {
       in_progress_.insert(key);
@@ -130,15 +120,20 @@ bdd::BitVec ControlAnalyzer::expr_bits(InstanceId inst, const Expr& e,
                                    width_hint);
     case Expr::Kind::PortRef: {
       const hdl::PortDecl* p = in.decl->find_port(e.name);
-      if (!p) return dynamic_bits("S:bad:" + in.name + "." + e.name, width_hint);
+      if (!p)
+        return dynamic_bits(
+            rtl::Var::opaque(Opaque::kBadPort, in.name, e.name, 0),
+            width_hint);
       if (p->cls == PortClass::Out) return out_port_bits(inst, e.name);
       return in_port_bits(inst, e.name);
     }
     case Expr::Kind::Slice: {
       bdd::BitVec inner = expr_bits(inst, *e.args[0], e.slice.msb + 1);
       if (e.slice.msb >= inner.width())
-        return dynamic_bits(fmt("S:slice:{}.{}", in.name, opaque_counter_++),
-                            e.slice.width());
+        return dynamic_bits(
+            rtl::Var::opaque(Opaque::kSlice, in.name,
+                             std::to_string(opaque_counter_++), 0),
+            e.slice.width());
       return inner.slice(e.slice.msb, e.slice.lsb);
     }
     case Expr::Kind::CellRead:
@@ -148,8 +143,10 @@ bdd::BitVec ControlAnalyzer::expr_bits(InstanceId inst, const Expr& e,
       // Arithmetic inside control paths is opaque: its bits are fresh
       // unknowns. (Decoders are expected to use case-style guarded constant
       // assignments, which stay fully symbolic.)
-      return dynamic_bits(fmt("S:opaque:{}.{}", in.name, opaque_counter_++),
-                          width_hint);
+      return dynamic_bits(
+          rtl::Var::opaque(Opaque::kArith, in.name,
+                           std::to_string(opaque_counter_++), 0),
+          width_hint);
   }
   return bdd::BitVec::constant(0, width_hint);
 }
@@ -164,7 +161,9 @@ bdd::BitVec ControlAnalyzer::in_port_bits(InstanceId inst,
     std::string key = in.name + "." + std::string(port);
     if (warned_.insert("undriven:" + key).second)
       diags_.warning({}, fmt("control port '{}' is undriven", key));
-    return dynamic_bits("U:" + key, width);
+    return dynamic_bits(
+        rtl::Var::opaque(Opaque::kUndriven, in.name, std::string(port), 0),
+        width);
   }
   bdd::BitVec bits = source_bits(d->source, width);
   return apply_slice(bits, d->source.has_slice, d->source.slice);
@@ -180,7 +179,7 @@ bdd::BitVec ControlAnalyzer::source_bits(const NetSource& src,
     case NetSource::Kind::ProcPort: {
       const hdl::ProcPortDecl* p = nl_.model().find_proc_port(src.port);
       int w = p ? p->range.width() : width_hint;
-      return dynamic_bits("S:@" + src.port, w);
+      return dynamic_bits(rtl::Var::in_port(src.port, 0), w);
     }
     case NetSource::Kind::InstancePort:
       return out_port_bits(src.inst, src.port);

@@ -4,18 +4,16 @@
 // wires, buses and random-logic decoder modules — to the primary control
 // sources: the instruction word and mode registers. Signals are represented
 // bit-wise as BDDs (bdd::BitVec), so arbitrary decoder logic composes
-// symbolically. Guard conditions ("f = 2") then become BDDs over:
-//
-//   I[k]          instruction-word bit k
-//   M:<inst>[k]   bit k of mode register <inst>
-//   S:...[k]      dynamic (data-dependent) bits: register contents, memory
-//                 outputs, primary inputs, opaque arithmetic — free variables
-//                 that make e.g. condition-code-dependent branches expressible
+// symbolically. Guard conditions ("f = 2") then become BDDs over
+// instruction-word bits, mode-register bits and free dynamic bits; every
+// variable is registered through the target's rtl::VarTable, whose header
+// gives the naming scheme.
 //
 // Unsatisfiable template conditions (encoding conflicts, bus contention) are
 // pruned by the extractor using these BDDs.
 #pragma once
 
+#include <map>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -24,14 +22,17 @@
 #include "bdd/bdd.h"
 #include "hdl/ast.h"
 #include "netlist/netlist.h"
+#include "rtl/vars.h"
 #include "util/diagnostics.h"
 
 namespace record::ise {
 
 class ControlAnalyzer {
  public:
+  /// `mgr` and `vars` must be empty: the analyzer registers the
+  /// instruction bits first, so I[k] is variable k (rtl::TemplateBase).
   ControlAnalyzer(const netlist::Netlist& nl, bdd::BddManager& mgr,
-                  util::DiagnosticSink& diags);
+                  rtl::VarTable& vars, util::DiagnosticSink& diags);
 
   /// Symbolic per-bit value of an instance OUT port.
   [[nodiscard]] bdd::BitVec out_port_bits(netlist::InstanceId inst,
@@ -50,20 +51,17 @@ class ControlAnalyzer {
   /// `instance.port`).
   [[nodiscard]] bdd::Ref structural_guard_bdd(const hdl::Cond& guard);
 
-  /// Variable classification (by the naming scheme above).
-  [[nodiscard]] bool is_instruction_var(int v) const;
-  [[nodiscard]] bool is_mode_var(int v) const;
-  [[nodiscard]] bool is_dynamic_var(int v) const;
-
   /// Index of the BDD variable for instruction-word bit k.
-  [[nodiscard]] int instruction_var(int k) const;
+  [[nodiscard]] static int instruction_var(int k) { return k; }
 
   [[nodiscard]] bdd::BddManager& manager() { return mgr_; }
 
  private:
   [[nodiscard]] bdd::BitVec source_bits(const netlist::NetSource& src,
                                         int width_hint);
-  [[nodiscard]] bdd::BitVec dynamic_bits(const std::string& tag, int width);
+  /// Fresh variables for bits 0..width-1 of `stem` (given as bit 0),
+  /// memoised on it.
+  [[nodiscard]] bdd::BitVec dynamic_bits(rtl::Var stem, int width);
   [[nodiscard]] bdd::BitVec combinational_out_bits(netlist::InstanceId inst,
                                                    std::string_view port);
   [[nodiscard]] bdd::BitVec expr_bits(netlist::InstanceId inst,
@@ -74,11 +72,11 @@ class ControlAnalyzer {
 
   const netlist::Netlist& nl_;
   bdd::BddManager& mgr_;
+  rtl::VarTable& vars_;
   util::DiagnosticSink& diags_;
 
-  int first_instr_var_ = 0;
   std::unordered_map<std::string, bdd::BitVec> out_memo_;
-  std::unordered_map<std::string, bdd::BitVec> dynamic_memo_;
+  std::map<rtl::Var, bdd::BitVec> dynamic_memo_;
   std::unordered_set<std::string> in_progress_;
   std::unordered_set<std::string> warned_;
   int opaque_counter_ = 0;

@@ -1,5 +1,7 @@
 #include "ise/extract.h"
 
+#include <cassert>
+
 #include "ise/control.h"
 #include "util/strings.h"
 
@@ -31,7 +33,7 @@ class Extractor {
         options_(options),
         diags_(diags),
         mgr_(std::make_shared<bdd::BddManager>()),
-        ctrl_(nl, *mgr_, diags),
+        ctrl_(nl, *mgr_, vars_, diags),
         routes_(nl, ctrl_, *mgr_, options.limits, options.prune_unsat,
                 diags) {}
 
@@ -50,6 +52,8 @@ class Extractor {
     }
     if (options_.include_proc_out) extract_proc_outs(result);
     result.stats.route_stats = routes_.stats();
+    result.base.vars = std::move(vars_);
+    assert(result.base.vars.instr_bits_lead(result.base.instruction_width));
     return result;
   }
 
@@ -196,6 +200,7 @@ class Extractor {
   ExtractOptions options_;
   util::DiagnosticSink& diags_;
   std::shared_ptr<bdd::BddManager> mgr_;
+  rtl::VarTable vars_;
   ControlAnalyzer ctrl_;
   RouteEnumerator routes_;
 };

@@ -232,10 +232,8 @@ std::vector<StorageWriters> write_conditions(const TemplateBase& base) {
   for (std::size_t i = 0; i < base.templates.size(); ++i) {
     const RTTemplate& t = base.templates[i];
     bdd::Ref c = t.cond;
-    for (int v : mgr.support(c)) {
-      const std::string& n = mgr.var_name(v);
-      if (n.rfind("I[", 0) != 0) c = mgr.exists(c, v);
-    }
+    for (int v : mgr.support(c))
+      if (base.vars[v].kind != Var::Kind::kInstr) c = mgr.exists(c, v);
     StorageWriters& sw = by_storage[t.dest];
     sw.any = mgr.lor(sw.any, c);
     sw.each.push_back({i, c, mgr.lnot(c)});

@@ -15,6 +15,7 @@
 
 #include "bdd/bdd.h"
 #include "hdl/ast.h"
+#include "rtl/vars.h"
 
 namespace record::rtl {
 
@@ -144,6 +145,12 @@ struct StorageWriters {
 /// stay confined to the single-threaded retargeting pipeline.
 struct TemplateBase {
   std::shared_ptr<bdd::BddManager> mgr;
+  /// What each variable of `mgr` stands for, one entry per variable.
+  /// Variables 0..instruction_width-1 are the instruction bits: I[k] is
+  /// variable k (extraction registers them first, on a fresh manager; the
+  /// target cache rejects a blob where they are not), so the variable of
+  /// instruction bit k is k and needs no lookup.
+  VarTable vars;
   std::vector<RTTemplate> templates;
   std::vector<StorageInfo> storage;   // SEQ ∪ writable ports (dest domain)
   std::vector<PortInInfo> in_ports;   // primary inputs (readable terminals)

@@ -205,8 +205,6 @@ class CodeSelector {
   /// of the NonTerm leaf it came from (-1 = not NT-backed, -2 = a terminal
   /// register match, live-in by construction). Memoised per rule id.
   [[nodiscard]] const std::vector<int>& read_ordinals_of_rule(int rule_id);
-  /// BDD variable of instruction-word bit I[pos] (memoised; -1 = absent).
-  [[nodiscard]] int imm_var(int pos);
 
   const rtl::TemplateBase& base_;
   const grammar::TreeGrammar& g_;
@@ -224,7 +222,6 @@ class CodeSelector {
   std::vector<std::unique_ptr<std::vector<std::string>>> reads_cache_;
   std::vector<std::unique_ptr<std::vector<int>>> read_ordinals_cache_;
   std::vector<std::string> signature_cache_;  // [template id]
-  std::vector<int> imm_var_cache_;            // [bit pos]; -2 = unresolved
   /// Memoised template-cond AND single-immediate encoding: the common
   /// one-field RT shape repeats the same few (template, value) pairs, and
   /// each BDD conjunction walks the manager under its lock.

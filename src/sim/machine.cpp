@@ -9,63 +9,21 @@ namespace record::sim {
 
 using util::fmt;
 
-namespace {
-
-/// Parses a trailing "[<bit>]" index; false if absent/malformed.
-bool parse_bit_suffix(std::string_view name, std::string_view& stem,
-                      int& bit) {
-  if (name.empty() || name.back() != ']') return false;
-  std::size_t open = name.rfind('[');
-  if (open == std::string_view::npos) return false;
-  std::string_view digits = name.substr(open + 1, name.size() - open - 2);
-  if (digits.empty()) return false;
-  bit = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return false;
-    bit = bit * 10 + (c - '0');
-  }
-  stem = name.substr(0, open);
-  return true;
-}
-
-}  // namespace
-
 Machine::Machine(const rtl::TemplateBase& base) : base_(base) {
   const bdd::BddManager& mgr = *base.mgr;
 
-  vars_.resize(static_cast<std::size_t>(mgr.var_count()));
-  for (int v = 0; v < mgr.var_count(); ++v) {
-    const std::string& n = mgr.var_name(v);
-    VarBind& b = vars_[static_cast<std::size_t>(v)];
-    std::string_view stem;
-    int bit = 0;
-    if (!parse_bit_suffix(n, stem, bit)) continue;
-    b.bit = bit;
-    if (stem == "I") {
-      b.kind = VarKind::kInstr;
-    } else if (stem.rfind("M:", 0) == 0) {
-      b.kind = VarKind::kMode;
-      b.name = std::string(stem.substr(2));
-    } else if (stem.rfind("S:@", 0) == 0) {
-      b.kind = VarKind::kPortBit;
-      b.name = std::string(stem.substr(3));
-    } else if (stem.rfind("S:", 0) == 0) {
-      // "S:<inst>.<port>": resolvable when <inst> is register-like storage
-      // (its out port is its stored value). Memory reads, opaque logic and
-      // the other "S:..." tags stay unresolvable.
-      std::string_view body = stem.substr(2);
-      std::size_t dot = body.find('.');
-      if (dot != std::string_view::npos &&
-          body.find(':') == std::string_view::npos) {
-        std::string inst(body.substr(0, dot));
-        const rtl::StorageInfo* s = base.find_storage(inst);
-        if (s && (s->kind == rtl::DestKind::Register ||
-                  s->kind == rtl::DestKind::ModeReg)) {
-          b.kind = VarKind::kRegBit;
-          b.name = std::move(inst);
-        }
-      }
+  // A storage bit resolves when its instance is register-like (its out port
+  // is its stored value); memory reads and opaque bits do not.
+  resolvable_.resize(static_cast<std::size_t>(base.vars.size()));
+  for (int v = 0; v < base.vars.size(); ++v) {
+    const rtl::Var& var = base.vars[v];
+    bool ok = var.kind != rtl::Var::Kind::kOpaque;
+    if (var.kind == rtl::Var::Kind::kStorage) {
+      const rtl::StorageInfo* s = base.find_storage(var.inst);
+      ok = s && (s->kind == rtl::DestKind::Register ||
+                 s->kind == rtl::DestKind::ModeReg);
     }
+    resolvable_[static_cast<std::size_t>(v)] = ok;
   }
 
   support_.reserve(base.templates.size());
@@ -74,8 +32,7 @@ Machine::Machine(const rtl::TemplateBase& base) : base_(base) {
     std::vector<int> sup = mgr.support(t.cond);
     bool unres = false;
     for (int v : sup)
-      if (vars_[static_cast<std::size_t>(v)].kind == VarKind::kUnresolvable)
-        unres = true;
+      if (!resolvable_[static_cast<std::size_t>(v)]) unres = true;
     support_.push_back(std::move(sup));
     has_unresolvable_.push_back(unres);
   }
@@ -119,24 +76,24 @@ MachineResult Machine::run(const emit::Assembly& assembly,
   /// Resolves one BDD variable against the word bits and machine state.
   auto resolve_var = [&](int v, const emit::EncodedWord& w)
       -> std::optional<bool> {
-    const VarBind& b = vars_[static_cast<std::size_t>(v)];
-    switch (b.kind) {
-      case VarKind::kInstr:
-        return b.bit >= 0 &&
-               b.bit < static_cast<int>(w.bits.size()) &&
-               w.bits[static_cast<std::size_t>(b.bit)];
-      case VarKind::kMode:
-      case VarKind::kRegBit: {
+    if (!resolvable_[static_cast<std::size_t>(v)]) return std::nullopt;
+    const rtl::Var& var = base_.vars[v];
+    switch (var.kind) {
+      case rtl::Var::Kind::kInstr:
+        return var.bit < static_cast<int>(w.bits.size()) &&
+               w.bits[static_cast<std::size_t>(var.bit)];
+      case rtl::Var::Kind::kMode:
+      case rtl::Var::Kind::kStorage: {
         std::uint64_t bits = static_cast<std::uint64_t>(
-            result.state.read_reg(b.name));
-        return b.bit < 64 && ((bits >> b.bit) & 1u) != 0;
+            result.state.read_reg(var.inst));
+        return var.bit < 64 && ((bits >> var.bit) & 1u) != 0;
       }
-      case VarKind::kPortBit: {
+      case rtl::Var::Kind::kInPort: {
         std::uint64_t bits = static_cast<std::uint64_t>(
-            result.state.read_in_port(b.name, 0));
-        return b.bit < 64 && ((bits >> b.bit) & 1u) != 0;
+            result.state.read_in_port(var.port, 0));
+        return var.bit < 64 && ((bits >> var.bit) & 1u) != 0;
       }
-      case VarKind::kUnresolvable:
+      case rtl::Var::Kind::kOpaque:
         return std::nullopt;
     }
     return std::nullopt;

@@ -75,21 +75,8 @@ class Machine {
                                   const State* initial = nullptr) const;
 
  private:
-  enum class VarKind : std::uint8_t {
-    kInstr,        // I[k]
-    kMode,         // M:<inst>[k]
-    kRegBit,       // S:<inst>.<port>[k] where <inst> is a register/modereg
-    kPortBit,      // S:@<port>[k]
-    kUnresolvable  // opaque / memory-dependent / unknown
-  };
-  struct VarBind {
-    VarKind kind = VarKind::kUnresolvable;
-    int bit = 0;
-    std::string name;  // register / port instance
-  };
-
   const rtl::TemplateBase& base_;
-  std::vector<VarBind> vars_;                 // [bdd variable]
+  std::vector<bool> resolvable_;              // [bdd variable]
   std::vector<std::vector<int>> support_;     // [template] cond support vars
   std::vector<bool> has_unresolvable_;        // [template]
 };

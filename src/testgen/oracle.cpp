@@ -109,20 +109,12 @@ std::string roundtrip_issues(const core::CompileResult& result,
   const int iw = base.instruction_width;
   const emit::Assembly& assembly = result.encoded.assembly;
 
-  // Instruction-bit variable indices, resolved once.
-  std::vector<std::pair<int, int>> ivars;  // (var, word bit)
-  for (int v = 0; v < mgr.var_count(); ++v) {
-    const std::string& n = mgr.var_name(v);
-    if (n.rfind("I[", 0) == 0)
-      ivars.emplace_back(v, std::stoi(n.substr(2, n.size() - 3)));
-  }
-
   for (const emit::EncodedWord& ew : assembly.words) {
+    // Instruction bit k is variable k.
     bdd::Assignment asg;
-    asg.reserve(ivars.size());
-    for (auto [v, k] : ivars)
-      asg.emplace_back(v, k >= 0 &&
-                              k < static_cast<int>(ew.bits.size()) &&
+    asg.reserve(static_cast<std::size_t>(iw));
+    for (int k = 0; k < iw; ++k)
+      asg.emplace_back(k, k < static_cast<int>(ew.bits.size()) &&
                               ew.bits[static_cast<std::size_t>(k)]);
 
     for (const select::SelectedRT* rt : ew.word->rts) {
@@ -133,7 +125,7 @@ std::string roundtrip_issues(const core::CompileResult& result,
       // values) onto the instruction bits, then evaluate under the word.
       bdd::Ref c = rt->cond;
       for (int v : mgr.support(c))
-        if (mgr.var_name(v).rfind("I[", 0) != 0) c = mgr.exists(c, v);
+        if (base.vars[v].kind != rtl::Var::Kind::kInstr) c = mgr.exists(c, v);
       if (!mgr.eval(c, asg))
         return fmt("word {} ({}): bits do not satisfy the execution "
                    "condition of '{}'",

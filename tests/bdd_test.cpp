@@ -152,9 +152,10 @@ TEST_F(BddTest, ToStringAndSopStable) {
   EXPECT_EQ(mgr.to_sop(kFalse), "0");
 }
 
-TEST_F(BddTest, FindVarByName) {
-  EXPECT_EQ(mgr.find_var("b"), b);
-  EXPECT_EQ(mgr.find_var("nope"), -1);
+TEST_F(BddTest, KeepsVariableNamesForPrinting) {
+  EXPECT_EQ(mgr.var_count(), 3);
+  EXPECT_EQ(mgr.var_name(b), "b");
+  EXPECT_EQ(mgr.to_sop(mgr.nvar(b)), "!b");
 }
 
 // The computed table is lossy: results that fell out of it are recomputed

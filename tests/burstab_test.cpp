@@ -25,6 +25,7 @@
 #include "models/models.h"
 #include "obs/metrics.h"
 #include "select/selector.h"
+#include "testgen/modelgen.h"
 #include "treeparse/burs.h"
 #include "util/failpoint.h"
 
@@ -519,6 +520,60 @@ TEST(BurstabSerialize, TemplateBaseRoundTrip) {
   EXPECT_EQ(base2.storage.size(), target->base->storage.size());
 }
 
+// The variable table on every built-in model and on generated models: one
+// entry per manager variable, each spelling back the manager's name, the
+// instruction bits leading, the cache-loaded table equal to the cold one,
+// and the template base re-serialising to the same bytes (the cache format
+// did not move).
+TEST(BurstabSerialize, VarTableMatchesManagerColdAndLoaded) {
+  std::vector<std::pair<std::string, std::string>> sources;  // (label, hdl)
+  for (const models::ModelInfo& m : models::builtin_models())
+    sources.emplace_back(m.name, std::string(models::model_source(m.name)));
+  for (std::uint64_t seed = 0; seed <= 50; ++seed)
+    sources.emplace_back("seed " + std::to_string(seed),
+                         testgen::generate_model(seed).hdl);
+
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "record-cache-vartable")
+          .string();
+  std::filesystem::remove_all(dir);
+  core::RetargetOptions options;
+  options.build_tables = false;
+  options.use_target_cache = true;
+  options.cache_dir = dir;
+  for (const auto& [label, hdl] : sources) {
+    SCOPED_TRACE(label);
+    util::DiagnosticSink diags;
+    auto cold = core::Record::retarget(hdl, options, diags);
+    ASSERT_TRUE(cold) << diags.str();
+    ASSERT_FALSE(cold->cache_hit);
+    const rtl::TemplateBase& base = *cold->base;
+    const bdd::BddManager& mgr = *base.mgr;
+    ASSERT_EQ(base.vars.size(), mgr.var_count());
+    for (int v = 0; v < mgr.var_count(); ++v) {
+      EXPECT_EQ(rtl::var_name(base.vars[v]), mgr.var_name(v)) << v;
+      EXPECT_EQ(rtl::parse_var_name(mgr.var_name(v)), base.vars[v]) << v;
+    }
+    EXPECT_TRUE(base.vars.instr_bits_lead(base.instruction_width));
+
+    auto warm = core::Record::retarget(hdl, options, diags);
+    ASSERT_TRUE(warm) << diags.str();
+    ASSERT_TRUE(warm->cache_hit);
+    EXPECT_EQ(warm->base->vars, base.vars);
+
+    ByteWriter w;
+    write_template_base(w, base);
+    ByteReader r(w.bytes());
+    rtl::TemplateBase loaded;
+    ASSERT_TRUE(read_template_base(r, loaded));
+    EXPECT_EQ(loaded.vars, base.vars);
+    ByteWriter again;
+    write_template_base(again, loaded);
+    EXPECT_EQ(again.bytes(), w.bytes());
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(BurstabSerialize, TablesRoundTrip) {
   PlainFixture f;
   TargetTables tables(f.g);
@@ -839,6 +894,81 @@ TEST(BurstabCache, OutOfRangeFitIndexIsRejectedAndRebuilds) {
   EXPECT_EQ(listing_of(*rebuilt, prog, rebuilt->tables.get()), reference);
   // The rebuild re-stored the entry bit for bit.
   EXPECT_EQ(read_file(path), blob);
+
+  std::filesystem::remove_all(dir);
+}
+
+// Replaces the first length-prefixed occurrence of `from` in a cache blob by
+// `to` and recomputes the payload checksum (header: magic u32, version u32,
+// key u64, checksum u64).
+void plant_name(std::string& blob, const std::string& from,
+                const std::string& to) {
+  auto prefixed = [](const std::string& s) {
+    std::string out(4, '\0');
+    put_le(out, 0, s.size(), 4);
+    return out + s;
+  };
+  const std::size_t at = blob.find(prefixed(from), 24);
+  ASSERT_NE(at, std::string::npos) << from;
+  blob.replace(at, from.size() + 4, prefixed(to));
+  put_le(blob, 16, fnv1a(std::string_view(blob).substr(24)), 8);
+}
+
+TEST(BurstabCache, MalformedVariableNameIsRejectedAndRebuilds) {
+  // Variable names under a recomputed (valid) checksum that the variable
+  // table cannot stand behind: a mode bit without its index, and the
+  // instruction bits out of place (I[1] at variable 0). Each must be a
+  // rejected miss, never a template base whose names mean something else.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "record-cache-badvar")
+          .string();
+  std::filesystem::remove_all(dir);
+
+  util::DiagnosticSink diags;
+  core::RetargetOptions options;
+  options.use_target_cache = true;
+  options.cache_dir = dir;
+  auto cold = core::Record::retarget_model("bass_boost", options, diags);
+  ASSERT_TRUE(cold) << diags.str();
+  const rtl::TemplateBase& base = *cold->base;
+  int mode = 0;
+  while (mode < base.vars.size() &&
+         base.vars[mode].kind != rtl::Var::Kind::kMode)
+    ++mode;
+  ASSERT_LT(mode, base.vars.size());
+  const rtl::Var& mode_var = base.vars[mode];
+  ASSERT_EQ(base.mgr->var_name(0), "I[0]");
+  ASSERT_EQ(base.mgr->var_name(1), "I[1]");
+
+  std::uint64_t key = TargetCache::key_of(
+      models::model_source("bass_boost"), core::options_digest(options));
+  const std::string path = TargetCache(dir).entry_path(key);
+  const std::string blob = read_file(path);
+
+  std::string no_bit = blob;
+  plant_name(no_bit, base.mgr->var_name(mode), "M:" + mode_var.inst);
+  std::string swapped = blob;
+  plant_name(swapped, "I[0]", "I[x]");
+  plant_name(swapped, "I[1]", "I[0]");
+  plant_name(swapped, "I[x]", "I[1]");
+
+  for (const std::string& bad : {no_bit, swapped}) {
+    ASSERT_NE(bad, blob);
+    write_file(path, bad);
+    const std::uint64_t rejected_before =
+        obs::metrics().counter("burstab.cache.rejected").value();
+    EXPECT_FALSE(TargetCache(dir).load(key));
+    EXPECT_EQ(obs::metrics().counter("burstab.cache.rejected").value(),
+              rejected_before + 1);
+
+    util::DiagnosticSink d;
+    auto rebuilt = core::Record::retarget_model("bass_boost", options, d);
+    ASSERT_TRUE(rebuilt) << d.str();
+    EXPECT_FALSE(rebuilt->cache_hit);
+    EXPECT_EQ(rebuilt->base->vars, base.vars);
+    // The rebuild re-stored the entry bit for bit.
+    EXPECT_EQ(read_file(path), blob);
+  }
 
   std::filesystem::remove_all(dir);
 }

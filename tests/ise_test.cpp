@@ -92,19 +92,22 @@ END;
 TEST(ControlAnalysis, InstructionBitsAreVariables) {
   netlist::Netlist nl = make_netlist(kAccMachine);
   bdd::BddManager mgr;
+  rtl::VarTable vars;
   util::DiagnosticSink diags;
-  ControlAnalyzer ctrl(nl, mgr, diags);
+  ControlAnalyzer ctrl(nl, mgr, vars, diags);
   bdd::BitVec w = ctrl.out_port_bits(nl.controller(), "w");
   EXPECT_EQ(w.width(), 16);
   EXPECT_EQ(w.bit(3), mgr.var(ctrl.instruction_var(3)));
-  EXPECT_TRUE(ctrl.is_instruction_var(ctrl.instruction_var(0)));
+  EXPECT_EQ(vars[ctrl.instruction_var(0)], rtl::Var::instr(0));
+  EXPECT_EQ(mgr.var_name(ctrl.instruction_var(3)), "I[3]");
 }
 
 TEST(ControlAnalysis, GuardBecomesInstructionBitCondition) {
   netlist::Netlist nl = make_netlist(kAccMachine);
   bdd::BddManager mgr;
+  rtl::VarTable vars;
   util::DiagnosticSink diags;
-  ControlAnalyzer ctrl(nl, mgr, diags);
+  ControlAnalyzer ctrl(nl, mgr, vars, diags);
   netlist::InstanceId alu = nl.find_instance("ALU");
   // f = 1  <=>  w6=1 & w7=0 (f wired to w(7:6)).
   auto cmp = hdl::make_cmp("", "f", 1);
@@ -118,12 +121,14 @@ TEST(ControlAnalysis, GuardBecomesInstructionBitCondition) {
 TEST(ControlAnalysis, RegisterOutputIsDynamic) {
   netlist::Netlist nl = make_netlist(kAccMachine);
   bdd::BddManager mgr;
+  rtl::VarTable vars;
   util::DiagnosticSink diags;
-  ControlAnalyzer ctrl(nl, mgr, diags);
+  ControlAnalyzer ctrl(nl, mgr, vars, diags);
   bdd::BitVec q = ctrl.out_port_bits(nl.find_instance("A"), "q");
   ASSERT_EQ(q.width(), 8);
   int v = mgr.top_var(q.bit(0));
-  EXPECT_TRUE(ctrl.is_dynamic_var(v));
+  EXPECT_EQ(vars[v], rtl::Var::storage("A", "q", 0));
+  EXPECT_EQ(mgr.var_name(v), "S:A.q[0]");
 }
 
 TEST(Extraction, FindsAluTemplatesForAllFunctions) {

@@ -146,10 +146,10 @@ TEST(BassBoostModel, ModeRegisterInConditions) {
                                              core::RetargetOptions{}, diags);
   ASSERT_TRUE(result);
   bool mode_dependent = false;
-  const bdd::BddManager& mgr = *result->base->mgr;
-  for (const rtl::RTTemplate& t : result->base->templates)
-    for (int v : mgr.support(t.cond))
-      if (mgr.var_name(v).rfind("M:", 0) == 0) mode_dependent = true;
+  const rtl::TemplateBase& base = *result->base;
+  for (const rtl::RTTemplate& t : base.templates)
+    for (int v : base.mgr->support(t.cond))
+      if (base.vars[v].kind == rtl::Var::Kind::kMode) mode_dependent = true;
   EXPECT_TRUE(mode_dependent);
 }
 

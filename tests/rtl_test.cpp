@@ -245,7 +245,7 @@ TEST(Template, SignatureIncludesMemoryAddress) {
 TEST(Template, PrettyIncludesCondition) {
   TemplateBase base;
   base.mgr = std::make_shared<bdd::BddManager>();
-  int v = base.mgr->new_var("I[0]");
+  int v = base.vars.add(*base.mgr, Var::instr(0));
   RTTemplate t = make_template(reg("B"));
   t.cond = base.mgr->var(v);
   EXPECT_NE(t.pretty(*base.mgr).find("I[0]"), std::string::npos);
