@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <queue>
 #include <sstream>
 
 namespace record::bdd {
 
 BddManager::BddManager()
-    : ite_cache_(std::size_t{1} << kComputedTableBits) {
+    : unique_(kInitialUniqueSlots, kFalse),
+      ite_cache_(std::size_t{1} << kComputedTableBits) {
   // Slot 0: constant FALSE, slot 1: constant TRUE. Constants sit below every
   // variable in the order (kConstLevel).
   nodes_.push_back(Node{kConstLevel, kFalse, kFalse});
@@ -26,15 +28,42 @@ Ref BddManager::literal(int v, bool positive) {
   return positive ? make_node(v, kFalse, kTrue) : make_node(v, kTrue, kFalse);
 }
 
+std::size_t BddManager::node_hash(int var, Ref lo, Ref hi) {
+  // splitmix64 finaliser over the packed triple, as ite_slot.
+  std::uint64_t x = (std::uint64_t{lo} << 32 | hi) ^
+                    (std::uint64_t{static_cast<std::uint32_t>(var)} *
+                     0x9e3779b97f4a7c15ull);
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return static_cast<std::size_t>(x ^ (x >> 31));
+}
+
 Ref BddManager::make_node(int var, Ref lo, Ref hi) {
   if (lo == hi) return lo;  // reduction rule
-  NodeKey key{var, lo, hi};
-  auto it = unique_.find(key);
-  if (it != unique_.end()) return it->second;
+  const std::size_t mask = unique_.size() - 1;
+  std::size_t i = node_hash(var, lo, hi) & mask;
+  for (; unique_[i] != kFalse; i = (i + 1) & mask) {
+    const Node& n = nodes_[unique_[i]];
+    if (n.var == var && n.lo == lo && n.hi == hi) return unique_[i];
+  }
   Ref r = static_cast<Ref>(nodes_.size());
   nodes_.push_back(Node{var, lo, hi});
-  unique_.emplace(key, r);
+  unique_[i] = r;
+  // Every node but the two constants is entered.
+  if (2 * (nodes_.size() - 2) > unique_.size())
+    rehash_unique(2 * unique_.size());
   return r;
+}
+
+void BddManager::rehash_unique(std::size_t slots) {
+  unique_.assign(slots, kFalse);
+  const std::size_t mask = slots - 1;
+  for (Ref r = 2; r < nodes_.size(); ++r) {
+    const Node& n = nodes_[r];
+    std::size_t i = node_hash(n.var, n.lo, n.hi) & mask;
+    while (unique_[i] != kFalse) i = (i + 1) & mask;
+    unique_[i] = r;
+  }
 }
 
 std::size_t BddManager::ite_slot(Ref f, Ref g, Ref h) {
@@ -195,6 +224,57 @@ std::vector<int> BddManager::support(Ref f) const {
   for (std::size_t i = 0; i < vars.size(); ++i)
     if (vars[i]) out.push_back(static_cast<int>(i));
   return out;
+}
+
+Literals BddManager::implied(Ref f) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::size_t words = (names_.size() + 63) / 64;
+  Literals out{std::vector<std::uint64_t>(words),
+               std::vector<std::uint64_t>(words)};
+  if (f == kFalse) {
+    for (std::size_t v = 0; v < names_.size(); ++v) {
+      out.pos[v / 64] |= std::uint64_t{1} << (v % 64);
+      out.neg[v / 64] |= std::uint64_t{1} << (v % 64);
+    }
+    return out;
+  }
+  // f implies a literal iff every path from f to TRUE takes it. Walk the
+  // nodes as support() does, largest Ref first, so every copy of a node
+  // pops in a row after all its parents. Each copy carries the literals
+  // common to the paths along one incoming edge (a slot of `sets`:
+  // positive words, then negative ones); a node's set is the intersection
+  // over its copies, and TRUE, the smallest Ref reached, ends the walk.
+  std::vector<std::uint64_t> sets(2 * words, 0);
+  auto at = [&sets](std::size_t slot) {
+    return sets.begin() + static_cast<std::ptrdiff_t>(slot);
+  };
+  std::priority_queue<std::pair<Ref, std::size_t>> pending;
+  pending.emplace(f, 0);
+  while (true) {
+    const auto [r, slot] = pending.top();
+    pending.pop();
+    while (!pending.empty() && pending.top().first == r) {
+      std::transform(at(slot), at(slot + 2 * words), at(pending.top().second),
+                     at(slot), std::bit_and<>());
+      pending.pop();
+    }
+    if (r == kTrue) {
+      std::copy_n(at(slot), words, out.pos.begin());
+      std::copy_n(at(slot + words), words, out.neg.begin());
+      return out;
+    }
+    const Node& n = node(r);
+    const std::size_t v = static_cast<std::size_t>(n.var);
+    for (const bool hi : {false, true}) {
+      const Ref child = hi ? n.hi : n.lo;
+      if (child == kFalse) continue;
+      const std::size_t copy = sets.size();
+      sets.resize(copy + 2 * words);
+      std::copy_n(at(slot), 2 * words, at(copy));
+      sets[copy + (hi ? 0 : words) + v / 64] |= std::uint64_t{1} << (v % 64);
+      pending.emplace(child, copy);
+    }
+  }
 }
 
 std::string BddManager::to_string(Ref f) const {

@@ -9,6 +9,7 @@
 //   * ite/and/or/xor/not with a bounded computed table (see below),
 //   * restrict (cofactor) and compose (substitute a function for a variable),
 //   * satisfiability, implication, model extraction and model counting,
+//   * implied literals (the cube every satisfying assignment agrees on),
 //   * support computation and a stable textual dump for tests.
 //
 // There is no garbage collection: condition BDDs in this domain are small
@@ -30,8 +31,8 @@
 // Thread safety: every operation that touches the node table — construction
 // of new BDDs (ite, literal, restrict, compose, exists, constrain and the
 // inline connectives), queries and traversals (eval, any_sat, sat_count,
-// support, to_string, to_sop, top_var/low/high, node_count) — is internally
-// serialised by a per-manager mutex, so a manager owned by a shared
+// implied, support, to_string, to_sop, top_var/low/high, node_count) — is
+// internally serialised by a per-manager mutex, so a manager owned by a shared
 // rtl::TemplateBase may be used by concurrent core::Compiler::compile jobs.
 // Variable *registration* is the exception: new_var is not synchronised
 // against var_name/var_count readers. Variables are registered only by
@@ -58,6 +59,19 @@ inline constexpr Ref kTrue = 1;
 
 /// A (partial) variable assignment: variable index -> value.
 using Assignment = std::vector<std::pair<int, bool>>;
+
+/// A set of literals as two bitsets over a manager's variables: variable v
+/// is bit v % 64 of word v / 64, in `pos` for the literal v and in `neg`
+/// for !v.
+struct Literals {
+  std::vector<std::uint64_t> pos;
+  std::vector<std::uint64_t> neg;
+
+  [[nodiscard]] bool has(int v, bool positive) const {
+    const std::vector<std::uint64_t>& set = positive ? pos : neg;
+    return (set[static_cast<std::size_t>(v) / 64] >> (v % 64) & 1u) != 0;
+  }
+};
 
 class BddManager {
  public:
@@ -136,6 +150,12 @@ class BddManager {
   /// (nvars >= highest variable in f's support + 1).
   [[nodiscard]] std::uint64_t sat_count(Ref f, int nvars) const;
 
+  /// The literals f implies: v is in the result with phase b iff
+  /// restrict(f, v, !b) is FALSE. TRUE implies none; FALSE implies every
+  /// literal of every variable. One walk of f under one lock; creates no
+  /// node.
+  [[nodiscard]] Literals implied(Ref f) const;
+
   /// Sorted list of variables f depends on.
   [[nodiscard]] std::vector<int> support(Ref f) const;
 
@@ -174,20 +194,6 @@ class BddManager {
     Ref hi;
   };
 
-  struct NodeKey {
-    int var;
-    Ref lo;
-    Ref hi;
-    bool operator==(const NodeKey&) const = default;
-  };
-  struct NodeKeyHash {
-    std::size_t operator()(const NodeKey& k) const {
-      std::size_t h = static_cast<std::size_t>(k.var);
-      h = h * 1000003u ^ k.lo;
-      h = h * 1000003u ^ k.hi;
-      return h;
-    }
-  };
   /// One computed-table slot; f == kFalse marks it empty (ite never
   /// memoises a constant f: those are terminal cases).
   struct IteEntry {
@@ -196,6 +202,8 @@ class BddManager {
 
   [[nodiscard]] const Node& node(Ref r) const { return nodes_[r]; }
   [[nodiscard]] Ref make_node(int var, Ref lo, Ref hi);
+  [[nodiscard]] static std::size_t node_hash(int var, Ref lo, Ref hi);
+  void rehash_unique(std::size_t slots);
   [[nodiscard]] int level(Ref r) const { return node(r).var; }
 
   // Unlocked recursive cores; callers hold mu_.
@@ -208,6 +216,7 @@ class BddManager {
                   std::vector<std::string>& cubes) const;
 
   static constexpr int kConstLevel = 1 << 30;
+  static constexpr std::size_t kInitialUniqueSlots = 64;
   [[nodiscard]] static std::size_t ite_slot(Ref f, Ref g, Ref h);
 
   /// Serialises node-table access (see the thread-safety note above). The
@@ -216,7 +225,12 @@ class BddManager {
   mutable std::mutex mu_;
   std::vector<Node> nodes_;
   std::vector<std::string> names_;
-  std::unordered_map<NodeKey, Ref, NodeKeyHash> unique_;
+  /// Unique table: open addressing with linear probing over Refs, keyed
+  /// by the (var, lo, hi) of the node each Ref names in nodes_; kFalse
+  /// marks an empty slot (constants are never entered). A power of two of
+  /// slots, at most half full: 8 to 16 bytes a node next to its 12 in
+  /// nodes_.
+  std::vector<Ref> unique_;
   std::vector<IteEntry> ite_cache_;
 };
 

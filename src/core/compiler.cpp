@@ -20,14 +20,20 @@ void refresh_coverage_totals(obs::CoverageMap& cov,
                  static_cast<std::uint64_t>(st.transitions));
 }
 
-/// Outcome counters, resolved once: a registry lookup takes its mutex, and
-/// every compile bumps one of these.
+/// Per-compile counters, resolved once: a registry lookup takes its mutex,
+/// and every compile bumps an outcome counter and the encoder's two.
 struct CompileCounters {
   obs::Counter& uncovered = obs::metrics().counter("compile.uncovered");
   obs::Counter& unrepairable_clobber =
       obs::metrics().counter("compile.unrepairable_clobber");
   obs::Counter& failed = obs::metrics().counter("compile.failed");
   obs::Counter& ok = obs::metrics().counter("compile.ok");
+  /// Suppression terms the encoder's cubes proved no-ops, and the rest,
+  /// left to the BDD: how much suppression work the cube filter removed.
+  obs::Counter& terms_proven_noop =
+      obs::metrics().counter("emit.terms_proven_noop");
+  obs::Counter& terms_conjoined =
+      obs::metrics().counter("emit.terms_conjoined");
 };
 
 CompileCounters& counters() {
@@ -116,6 +122,12 @@ std::optional<CompileResult> Compiler::compile(
   result.encoded =
       emit::encode(result.compacted.program, *target_->base, diags);
   stage.reset();
+  {
+    const emit::EncodeStats& es = result.encoded.stats;
+    counters().terms_proven_noop.add(es.proven_noop);
+    counters().terms_conjoined.add(es.suppressed + es.unsuppressible -
+                                   es.proven_noop);
+  }
   if (cov) {
     const sched::SpillStats& sp = result.spill_stats;
     cov->record_variant(obs::CoverageVariant::kSpillPark,

@@ -35,6 +35,42 @@ std::uint64_t EncodedWord::to_u64() const {
   return v;
 }
 
+void SuppressionTerms::collect(const compact::Word& w,
+                               const rtl::TemplateBase& base) {
+  const rtl::WriteConditions& wc = base.writers;
+  written_.clear();
+  own_.clear();
+  cube_.assign(2 * wc.cube_words, 0);
+  for (const select::SelectedRT* rt : w.rts) {
+    written_.push_back(rt->dest);
+    if (!rt->tmpl) continue;
+    const auto t = static_cast<std::size_t>(rt->tmpl - base.templates.data());
+    assert(t < base.templates.size());
+    own_.push_back(t);
+    const std::uint64_t* c = wc.writer_cube(t);
+    for (std::size_t i = 0; i < cube_.size(); ++i) cube_[i] |= c[i];
+  }
+  undecided.clear();
+  proven_noop.clear();
+  auto add = [&](bdd::Ref term, const std::uint64_t* writer_cube) {
+    if (wc.conflict(cube_.data(), writer_cube))
+      proven_noop.push_back(term);
+    else
+      undecided.push_back(term);
+  };
+  for (std::size_t s = 0; s < wc.storages.size(); ++s) {
+    const rtl::StorageWriters& sw = wc.storages[s];
+    if (std::find(written_.begin(), written_.end(), sw.storage) ==
+        written_.end()) {
+      add(sw.not_any, wc.any_cube(s));
+      continue;
+    }
+    for (const rtl::StorageWriters::Writer& wr : sw.each)
+      if (std::find(own_.begin(), own_.end(), wr.tmpl) == own_.end())
+        add(wr.not_cond, wc.writer_cube(wr.tmpl));
+  }
+}
+
 EncodeResult encode(const compact::CompactedProgram& prog,
                     const rtl::TemplateBase& base,
                     util::DiagnosticSink& diags) {
@@ -50,17 +86,19 @@ EncodeResult encode(const compact::CompactedProgram& prog,
   }
 
   // The base's write conditions must cover its current templates
-  // (rtl::TemplateBase::writers).
+  // (rtl::TemplateBase::writers), one writer condition each.
 #ifndef NDEBUG
+  std::vector<bdd::Ref> writer_cond(base.templates.size(), bdd::kFalse);
   std::size_t covered = 0;
-  for (const rtl::StorageWriters& sw : base.writers)
-    covered += sw.each.size();
+  for (const rtl::StorageWriters& sw : base.writers.storages)
+    for (const rtl::StorageWriters::Writer& wr : sw.each) {
+      writer_cond[wr.tmpl] = wr.cond;
+      ++covered;
+    }
   assert(covered == base.templates.size());
 #endif
 
-  std::vector<std::string_view> written;
-  std::vector<const rtl::RTTemplate*> own;
-  std::vector<bdd::Ref> terms;
+  SuppressionTerms terms;
   addr = 0;
   for (const compact::CompactedRegion& r : prog.regions) {
     bool first_in_region = true;
@@ -101,30 +139,30 @@ EncodeResult encode(const compact::CompactedProgram& prog,
       // be written by any template; a storage the word DOES write must not
       // also be written by a template outside the word's own RTs (two units
       // writing one location is a decode-time contention). The "must not
-      // write" terms are conjoined greedily in one locked pass, skipping
-      // any that would make the word unsatisfiable.
-      written.clear();
-      own.clear();
-      for (const select::SelectedRT* rt : w.rts) {
-        written.push_back(rt->dest);
-        if (rt->tmpl) own.push_back(rt->tmpl);
-      }
-      terms.clear();
-      for (const rtl::StorageWriters& sw : base.writers) {
-        if (std::find(written.begin(), written.end(), sw.storage) ==
-            written.end()) {
-          terms.push_back(sw.not_any);
-          continue;
-        }
-        for (const rtl::StorageWriters::Writer& wr : sw.each)
-          if (std::find(own.begin(), own.end(), &base.templates[wr.tmpl]) ==
-              own.end())
-            terms.push_back(wr.not_cond);
-      }
+      // write" terms the cubes leave undecided are conjoined greedily in
+      // one locked pass, skipping any that would make the word
+      // unsatisfiable. The proven no-ops would each return the condition
+      // unchanged, so they count as conjoined without reaching the BDD.
+#ifndef NDEBUG
+      // The word cube rests on this (SuppressionTerms). A true implication
+      // creates no node: every cofactor of it is TRUE.
+      for (const select::SelectedRT* rt : w.rts)
+        if (rt->tmpl)
+          assert(mgr.implies(
+              w.cond, writer_cond[static_cast<std::size_t>(
+                          rt->tmpl - base.templates.data())]));
+#endif
+      terms.collect(w, base);
       std::size_t taken = 0;
-      cond = mgr.constrain(cond, terms, &taken);
-      result.stats.suppressed += taken;
-      result.stats.unsuppressible += terms.size() - taken;
+      cond = mgr.constrain(cond, terms.undecided, &taken);
+      // constrain never makes a satisfiable condition FALSE. A FALSE one
+      // (from its RTs or the branch fixup) takes no term, not even a no-op.
+      const std::size_t noop =
+          cond == bdd::kFalse ? 0 : terms.proven_noop.size();
+      result.stats.suppressed += taken + noop;
+      result.stats.proven_noop += noop;
+      result.stats.unsuppressible += terms.undecided.size() - taken +
+                                     terms.proven_noop.size() - noop;
 
       if (cond == bdd::kFalse) {
         diags.error({}, "instruction word condition unsatisfiable after "

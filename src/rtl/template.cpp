@@ -1,5 +1,6 @@
 #include "rtl/template.h"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <unordered_set>
@@ -226,7 +227,7 @@ bool TemplateBase::add_unique(RTTemplate t) {
   return true;
 }
 
-std::vector<StorageWriters> write_conditions(const TemplateBase& base) {
+WriteConditions write_conditions(const TemplateBase& base) {
   bdd::BddManager& mgr = *base.mgr;
   std::map<std::string, StorageWriters> by_storage;
   for (std::size_t i = 0; i < base.templates.size(); ++i) {
@@ -238,12 +239,37 @@ std::vector<StorageWriters> write_conditions(const TemplateBase& base) {
     sw.any = mgr.lor(sw.any, c);
     sw.each.push_back({i, c, mgr.lnot(c)});
   }
-  std::vector<StorageWriters> out;
-  out.reserve(by_storage.size());
+  WriteConditions out;
+  out.storages.reserve(by_storage.size());
   for (auto& [storage, sw] : by_storage) {
     sw.storage = storage;
     sw.not_any = mgr.lnot(sw.any);
-    out.push_back(std::move(sw));
+    out.storages.push_back(std::move(sw));
+  }
+
+  // Instruction bit k is variable k, so a cube is the first instruction
+  // bits of the implied literals. Only a FALSE condition implies literals
+  // of the other variables; those bits are masked off.
+  const std::size_t iw = static_cast<std::size_t>(base.instruction_width);
+  const std::size_t words = (iw + 63) / 64;
+  out.cube_words = words;
+  out.cubes.assign(2 * words * (out.storages.size() + base.templates.size()),
+                   0);
+  auto store = [&](std::uint64_t* slot, bdd::Ref c) {
+    const bdd::Literals lits = mgr.implied(c);
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::size_t bits = std::min<std::size_t>(64, iw - 64 * w);
+      const std::uint64_t mask =
+          bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+      slot[w] = lits.pos[w] & mask;
+      slot[words + w] = lits.neg[w] & mask;
+    }
+  };
+  auto slot = [&](std::size_t i) { return out.cubes.data() + 2 * words * i; };
+  for (std::size_t s = 0; s < out.storages.size(); ++s) {
+    store(slot(s), out.storages[s].any);
+    for (const StorageWriters::Writer& wr : out.storages[s].each)
+      store(slot(out.storages.size() + wr.tmpl), wr.cond);
   }
   return out;
 }

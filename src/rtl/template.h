@@ -135,6 +135,38 @@ struct StorageWriters {
   std::vector<Writer> each;
 };
 
+/// The per-target write conditions: the writers of every storage, and the
+/// instruction-bit literals each of their conditions implies ("cubes").
+/// Two conditions whose cubes fix some instruction bit to opposite values
+/// are disjoint; the encoder uses that to decide most suppression terms
+/// without the BDD (emit::SuppressionTerms).
+struct WriteConditions {
+  std::vector<StorageWriters> storages;  // sorted by storage name
+  /// 64-bit words per literal bitset: ceil(instruction_width / 64).
+  std::size_t cube_words = 0;
+  /// Flat cube table, one slot per condition: storages[s].any at slot s,
+  /// then the writer condition of template t at slot storages.size() + t.
+  /// A slot is cube_words positive words (bit k set: the condition implies
+  /// I[k]) followed by cube_words negative ones (it implies !I[k]).
+  std::vector<std::uint64_t> cubes;
+
+  [[nodiscard]] const std::uint64_t* any_cube(std::size_t storage) const {
+    return cubes.data() + 2 * cube_words * storage;
+  }
+  [[nodiscard]] const std::uint64_t* writer_cube(std::size_t tmpl) const {
+    return any_cube(storages.size() + tmpl);
+  }
+  /// True if cubes `a` and `b` fix some bit to opposite values, which
+  /// proves their conditions disjoint.
+  [[nodiscard]] bool conflict(const std::uint64_t* a,
+                              const std::uint64_t* b) const {
+    for (std::size_t i = 0; i < cube_words; ++i)
+      if ((a[i] & b[cube_words + i]) | (a[cube_words + i] & b[i]))
+        return true;
+    return false;
+  }
+};
+
 /// The RT template base: everything grammar construction needs.
 /// Owns the BDD manager that all template conditions live in.
 ///
@@ -158,13 +190,13 @@ struct TemplateBase {
   /// Architectural branch delay slots: a write to the program counter lands
   /// this many instruction words late (HDL `DELAY n` on the PC register).
   int branch_delay_slots = 0;
-  /// Per-storage write conditions (write_conditions), sorted by storage
-  /// name. Derived data, filled by the last step that changes the base:
-  /// extend_template_base on a cold retarget, the target cache on a load.
-  /// The templates and their conditions must not change afterwards; the
-  /// encoder reads these instead of the templates, and debug builds check
-  /// that they cover every template.
-  std::vector<StorageWriters> writers;
+  /// Per-storage write conditions and their cubes (write_conditions).
+  /// Derived data, filled by the last step that changes the base:
+  /// extend_template_base on a cold retarget, the target cache on a load;
+  /// neither is stored in the cache. The templates and their conditions
+  /// must not change afterwards; the encoder reads these instead of the
+  /// templates, and debug builds check that they cover every template.
+  WriteConditions writers;
 
   [[nodiscard]] std::size_t size() const { return templates.size(); }
   [[nodiscard]] const StorageInfo* find_storage(std::string_view name) const;
@@ -190,9 +222,10 @@ struct TemplateBase {
 /// a storage can still forbid the *other* writers of that storage
 /// (required on multi-issue machines, where a second slot's don't-care
 /// bits could otherwise be filled to write the same location — a
-/// decode-time write contention). Quantifies every template condition, so
-/// it runs once per target, when the base is complete.
-[[nodiscard]] std::vector<StorageWriters> write_conditions(
-    const TemplateBase& base);
+/// decode-time write contention). Also computes the cube of every `any` and
+/// every writer condition (BddManager::implied, O(templates) walks that
+/// create no node). Quantifies every template condition, so it runs once
+/// per target, when the base is complete.
+[[nodiscard]] WriteConditions write_conditions(const TemplateBase& base);
 
 }  // namespace record::rtl

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -216,6 +217,76 @@ TEST(BddComputedTable, SupportMatchesCofactorDefinition) {
   }
   Ref small = mgr.lor(mgr.land(mgr.var(3), mgr.var(7)), mgr.nvar(10));
   EXPECT_EQ(mgr.support(small), (std::vector<int>{3, 7, 10}));
+}
+
+// implied() against its definition: literal (v, b) is implied iff
+// restrict(f, v, !b) is FALSE. 70 variables put some of them past the
+// first 64-bit word. Random functions are a random cube ANDed with an OR of
+// random small terms, so most have a non-empty implied set; implied()
+// itself creates no node.
+TEST(BddImplied, MatchesRestrictDefinition) {
+  BddManager mgr;
+  constexpr int kVars = 70;
+  for (int v = 0; v < kVars; ++v) mgr.new_var("v" + std::to_string(v));
+  std::mt19937 rng(2024);
+  auto pick_var = [&rng] {
+    return static_cast<int>(rng() % static_cast<std::uint32_t>(kVars));
+  };
+  auto literal = [&] { return mgr.literal(pick_var(), rng() % 2 == 0); };
+  std::size_t nonempty = 0, high_words = 0;
+  for (int k = 0; k < 300; ++k) {
+    Ref f = kTrue;
+    const int cube = static_cast<int>(rng() % 5);
+    for (int i = 0; i < cube; ++i) f = mgr.land(f, literal());
+    Ref any = kFalse;
+    const int terms = 1 + static_cast<int>(rng() % 4);
+    for (int i = 0; i < terms; ++i)
+      any = mgr.lor(any, mgr.land(literal(), literal()));
+    f = mgr.land(f, any);
+
+    const std::size_t nodes = mgr.node_count();
+    const Literals got = mgr.implied(f);
+    EXPECT_EQ(mgr.node_count(), nodes) << "function " << k;
+    ASSERT_EQ(got.pos.size(), 2u);
+    ASSERT_EQ(got.neg.size(), 2u);
+    for (int v = 0; v < kVars; ++v) {
+      for (bool b : {false, true}) {
+        const bool want = mgr.restrict(f, v, !b) == kFalse;
+        EXPECT_EQ(got.has(v, b), want)
+            << "function " << k << " var " << v << " phase " << b << ": "
+            << mgr.to_sop(f);
+        if (want) ++nonempty;
+        if (want && v >= 64) ++high_words;
+      }
+    }
+  }
+  // The sweep exercised what it claims to.
+  EXPECT_GT(nonempty, 100u);
+  EXPECT_GT(high_words, 0u);
+}
+
+TEST(BddImplied, ConstantsAndDisjointCubes) {
+  BddManager mgr;
+  for (int v = 0; v < 70; ++v) mgr.new_var("v" + std::to_string(v));
+  const Literals t = mgr.implied(kTrue);
+  const Literals f = mgr.implied(kFalse);
+  for (int v = 0; v < 70; ++v) {
+    EXPECT_FALSE(t.has(v, true) || t.has(v, false)) << v;
+    EXPECT_TRUE(f.has(v, true) && f.has(v, false)) << v;
+  }
+  // Two cubes that disagree on every variable they share: each implies its
+  // own literals, their OR implies nothing.
+  const Ref c1 = mgr.land(mgr.var(3), mgr.land(mgr.nvar(40), mgr.var(66)));
+  const Ref c2 = mgr.land(mgr.nvar(3), mgr.land(mgr.var(40), mgr.nvar(66)));
+  const Ref either = mgr.lor(c1, c2);
+  const std::size_t nodes = mgr.node_count();
+  const Literals one = mgr.implied(c1);
+  EXPECT_TRUE(one.has(3, true) && one.has(40, false) && one.has(66, true));
+  EXPECT_FALSE(one.has(3, false) || one.has(40, true) || one.has(66, false));
+  const Literals none = mgr.implied(either);
+  for (int v = 0; v < 70; ++v)
+    EXPECT_FALSE(none.has(v, true) || none.has(v, false)) << v;
+  EXPECT_EQ(mgr.node_count(), nodes);
 }
 
 // Property sweep: for every 3-variable function built from a random-ish

@@ -17,6 +17,8 @@
 #include "emit/encode.h"
 #include "ir/builder.h"
 #include "models/workload.h"
+#include "testgen/modelgen.h"
+#include "testgen/programgen.h"
 
 namespace record::emit {
 namespace {
@@ -125,15 +127,17 @@ TEST(Encode, HexRendering) {
 
 TEST(Encode, RetargetPrecomputesWriteConditions) {
   const rtl::TemplateBase& base = *c25().base;
-  ASSERT_FALSE(base.writers.empty());
+  ASSERT_FALSE(base.writers.storages.empty());
   const std::size_t nodes = base.mgr->node_count();
   // Recomputing finds every node already built at retarget time.
-  std::vector<rtl::StorageWriters> again = rtl::write_conditions(base);
+  const rtl::WriteConditions again = rtl::write_conditions(base);
   EXPECT_EQ(base.mgr->node_count(), nodes);
-  ASSERT_EQ(again.size(), base.writers.size());
-  for (std::size_t i = 0; i < again.size(); ++i) {
-    const rtl::StorageWriters& a = again[i];
-    const rtl::StorageWriters& b = base.writers[i];
+  EXPECT_EQ(again.cube_words, base.writers.cube_words);
+  EXPECT_EQ(again.cubes, base.writers.cubes);
+  ASSERT_EQ(again.storages.size(), base.writers.storages.size());
+  for (std::size_t i = 0; i < again.storages.size(); ++i) {
+    const rtl::StorageWriters& a = again.storages[i];
+    const rtl::StorageWriters& b = base.writers.storages[i];
     EXPECT_EQ(a.storage, b.storage);
     EXPECT_EQ(a.any, b.any) << a.storage;
     EXPECT_EQ(a.not_any, b.not_any) << a.storage;
@@ -164,8 +168,9 @@ TEST(Encode, CacheLoadedTargetCarriesWriteConditions) {
   EXPECT_TRUE(warm->cache_hit);
   std::filesystem::remove_all(dir);
 
-  const std::vector<rtl::StorageWriters>& a = cold->base->writers;
-  const std::vector<rtl::StorageWriters>& b = warm->base->writers;
+  EXPECT_EQ(cold->base->writers.cubes, warm->base->writers.cubes);
+  const std::vector<rtl::StorageWriters>& a = cold->base->writers.storages;
+  const std::vector<rtl::StorageWriters>& b = warm->base->writers.storages;
   ASSERT_FALSE(a.empty());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -193,6 +198,98 @@ TEST(Encode, ReencodingIsIdenticalAndAddsNoNodes) {
   EXPECT_EQ(target.base->mgr->node_count(), nodes);
   EXPECT_EQ(hex_words(again.assembly), hex_words(r.encoded.assembly));
   EXPECT_EQ(again.stats.suppressed, r.encoded.stats.suppressed);
+}
+
+// Each cube holds exactly the instruction-bit literals its condition
+// implies: I[k] with phase b iff restrict(cond, k, !b) is FALSE. The
+// restricts add nodes, so the target is a private one.
+TEST(EncodeCubes, CubesAreTheImpliedInstructionLiterals) {
+  util::DiagnosticSink diags;
+  auto target = core::Record::retarget_model("ref", {}, diags);
+  ASSERT_TRUE(target) << diags.str();
+  const rtl::TemplateBase& base = *target->base;
+  const rtl::WriteConditions& wc = base.writers;
+  bdd::BddManager& mgr = *base.mgr;
+  const int iw = base.instruction_width;
+  ASSERT_EQ(wc.cube_words, static_cast<std::size_t>((iw + 63) / 64));
+  ASSERT_EQ(wc.cubes.size(), 2 * wc.cube_words *
+                                 (wc.storages.size() + base.templates.size()));
+  std::size_t literals = 0;
+  auto expect_cube = [&](const std::uint64_t* cube, bdd::Ref cond) {
+    for (int k = 0; k < iw; ++k) {
+      const std::size_t w = static_cast<std::size_t>(k) / 64;
+      const std::uint64_t bit = std::uint64_t{1} << (k % 64);
+      const bool pos = (cube[w] & bit) != 0;
+      const bool neg = (cube[wc.cube_words + w] & bit) != 0;
+      EXPECT_EQ(pos, mgr.restrict(cond, k, false) == bdd::kFalse) << k;
+      EXPECT_EQ(neg, mgr.restrict(cond, k, true) == bdd::kFalse) << k;
+      literals += pos + neg;
+    }
+  };
+  for (std::size_t s = 0; s < wc.storages.size(); ++s) {
+    expect_cube(wc.any_cube(s), wc.storages[s].any);
+    for (const rtl::StorageWriters::Writer& wr : wc.storages[s].each)
+      expect_cube(wc.writer_cube(wr.tmpl), wr.cond);
+  }
+  EXPECT_GT(literals, base.templates.size());
+}
+
+// Every suppression term the cubes skip is a proven no-op: conjoining it
+// into the word condition returns that condition. Covers chain32 on the
+// six built-in models, the DSPStone kernels, and generated programs on
+// testgen seeds 0..50, multi-issue machines included.
+TEST(EncodeCubes, SkippedTermsAreNoOps) {
+  std::size_t words = 0, skipped = 0, undecided = 0, multi_issue_words = 0;
+  SuppressionTerms terms;
+  auto check = [&](const rtl::TemplateBase& base,
+                   const core::CompileResult& r, const std::string& name,
+                   bool multi_issue) {
+    bdd::BddManager& mgr = *base.mgr;
+    for (const compact::CompactedRegion& region : r.compacted.program.regions)
+      for (const compact::Word& w : region.words) {
+        terms.collect(w, base);
+        for (bdd::Ref t : terms.proven_noop)
+          ASSERT_EQ(mgr.land(w.cond, t), w.cond) << name;
+        skipped += terms.proven_noop.size();
+        undecided += terms.undecided.size();
+        ++words;
+        if (multi_issue) ++multi_issue_words;
+      }
+  };
+
+  for (const models::ChainShape& shape : models::kChainShapes) {
+    util::DiagnosticSink diags;
+    auto r = core::Compiler(builtin(shape.model))
+                 .compile(models::chain_program(shape, 32), {}, diags);
+    ASSERT_TRUE(r) << shape.model << ": " << diags.str();
+    check(*builtin(shape.model).base, *r, shape.model, false);
+  }
+  for (const std::string& name : dspstone::kernel_names()) {
+    core::CompileResult r = compile(dspstone::kernel(name));
+    check(*c25().base, r, name, false);
+  }
+  for (std::uint64_t seed = 0; seed <= 50; ++seed) {
+    const testgen::GeneratedModel m = testgen::generate_model(seed);
+    util::DiagnosticSink diags;
+    auto target = core::Record::retarget(m.hdl, core::RetargetOptions{},
+                                         diags);
+    ASSERT_TRUE(target) << m.name << ": " << diags.str();
+    core::CompileOptions options;
+    if (m.spill_slots > 0) {
+      options.spill.scratch_base = m.spill_base;
+      options.spill.scratch_slots = m.spill_slots;
+    }
+    for (std::uint64_t p = 0; p < 3; ++p) {
+      const testgen::GeneratedProgram gp = testgen::generate_program(m, p);
+      util::DiagnosticSink compile_diags;
+      auto r = core::Compiler(*target).compile(gp.program, options,
+                                               compile_diags);
+      if (r) check(*target->base, *r, m.name, m.issue_slots > 1);
+    }
+  }
+  // The filter decides most terms, and the sweep reached VLIW words.
+  EXPECT_GT(skipped, undecided) << words << " words";
+  EXPECT_GT(multi_issue_words, 0u);
 }
 
 /// "<model>/chain32" is the chain workload; any other name is a DSPStone
