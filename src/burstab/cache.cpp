@@ -39,7 +39,9 @@ constexpr std::uint32_t kCacheMagic = 0x52544331;  // "RTC1"
 // v7: the tables section is the hash tables' states + transitions in id
 // order (BTR4); entries are read into memory, never mapped. v6 blobs are a
 // miss and rebuild cleanly.
-constexpr std::uint32_t kCacheVersion = 7;
+// v8: the tables section drops the eager-closure flag (BTR5); tables fill on
+// demand only. v7 blobs are a miss and rebuild cleanly.
+constexpr std::uint32_t kCacheVersion = 8;
 
 // The header: magic, version, key, checksum.
 constexpr std::size_t kCacheHeaderBytes = 24;

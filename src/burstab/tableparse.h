@@ -28,8 +28,8 @@ namespace record::burstab {
 
 class TableParser {
  public:
-  /// `g` must be the grammar the tables were compiled from (checked via the
-  /// grammar fingerprint in debug builds); both must outlive the parser.
+  /// `g` must be the grammar the tables were compiled from (not checked);
+  /// both must outlive the parser.
   TableParser(const grammar::TreeGrammar& g, const TargetTables& tables)
       : g_(g), tables_(tables), reducer_(g) {}
 

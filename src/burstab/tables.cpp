@@ -117,7 +117,6 @@ void TargetTables::prepare(const grammar::TreeGrammar& g) {
   terminal_constrained_.assign(static_cast<std::size_t>(terms), false);
   subs_by_terminal_.assign(static_cast<std::size_t>(terms), {});
   constrained_precheck_.assign(static_cast<std::size_t>(terms), {});
-  arities_by_terminal_.assign(static_cast<std::size_t>(terms), {});
 
   std::unordered_map<std::string, int> key_index;
 
@@ -137,7 +136,7 @@ void TargetTables::prepare(const grammar::TreeGrammar& g) {
     for (const grammar::PatNodePtr& c : p.children) self(self, *c);
   };
 
-  // Collects Imm widths / Const values and records operator arities.
+  // Collects Imm widths / Const values.
   auto scan_leaves = [&](auto&& self, const PatNode& p) -> void {
     switch (p.kind) {
       case PatNode::Kind::Imm:
@@ -148,14 +147,9 @@ void TargetTables::prepare(const grammar::TreeGrammar& g) {
         return;
       case PatNode::Kind::NonTerm:
         return;
-      case PatNode::Kind::Term: {
-        std::vector<int>& ar =
-            arities_by_terminal_[static_cast<std::size_t>(p.term)];
-        int k = static_cast<int>(p.children.size());
-        if (std::find(ar.begin(), ar.end(), k) == ar.end()) ar.push_back(k);
+      case PatNode::Kind::Term:
         for (const grammar::PatNodePtr& c : p.children) self(self, *c);
         return;
-      }
     }
   };
 
@@ -168,6 +162,7 @@ void TargetTables::prepare(const grammar::TreeGrammar& g) {
     }
     const bool constrained = pattern_is_constrained(*r.pattern);
     constrained_rule_[rid] = constrained;
+    scan_leaves(scan_leaves, *r.pattern);
     if (constrained) {
       // Nodes of this operator run the hybrid path: table transition plus
       // a matcher sweep over exactly these rules.
@@ -203,10 +198,8 @@ void TargetTables::prepare(const grammar::TreeGrammar& g) {
         constrained_precheck_[static_cast<std::size_t>(root_term)].push_back(
             std::move(pc));
       }
-      scan_leaves(scan_leaves, *r.pattern);  // arities still matter
       continue;
     }
-    scan_leaves(scan_leaves, *r.pattern);
     RulePlan plan{r.id, r.lhs, r.cost, r.pattern.get()};
     if (r.pattern->kind == PatNode::Kind::Term) {
       rules_by_terminal_[static_cast<std::size_t>(r.pattern->term)].push_back(
@@ -235,10 +228,9 @@ void TargetTables::prepare(const grammar::TreeGrammar& g) {
 }
 
 TargetTables::TargetTables(const grammar::TreeGrammar& g,
-                           const TableBuildOptions& options)
+                           const TableBuildOptions&)
     : state_index_(16, RowHash{this}, RowEq{this}) {
   prepare(g);
-  if (options.precompute) run_closure(options);
 }
 
 // --- flat state rows --------------------------------------------------------
@@ -671,130 +663,16 @@ TableStats TargetTables::stats() const {
   s.constrained_rules = constrained;
   s.table_rules = constrained_rule_.size() - constrained;
   s.const_classes = const_state_by_pair_.size();
-  s.closure_complete = closure_complete_;
   return s;
-}
-
-// --- eager closure ----------------------------------------------------------
-
-void TargetTables::run_closure(const TableBuildOptions& options) {
-  std::unique_lock lock(mu_);
-  const std::size_t work_cap = options.max_transitions * 64;
-  std::size_t work = 0;
-
-  // Leaf seeding: one state per hardwired pattern constant, one per
-  // immediate-fit class, one per leaf operator.
-  for (std::int64_t v : const_values_) {
-    int fit_index = fit_index_of(v);
-    std::int64_t key = const_pair_key(fit_index, const_class_of_.at(v));
-    if (!const_state_by_pair_.count(key))
-      const_state_by_pair_.emplace(
-          key, compute_const_state_locked(fit_index, const_class_of_.at(v)));
-  }
-  for (int fi = -1; fi < static_cast<int>(fit_widths_.size()); ++fi) {
-    std::int64_t key = const_pair_key(fi, -1);
-    if (!const_state_by_pair_.count(key))
-      const_state_by_pair_.emplace(key,
-                                   compute_const_state_locked(fi, -1));
-  }
-  const std::vector<int> no_children;
-  for (std::size_t t = 0; t < rules_by_terminal_.size(); ++t) {
-    if (terminal_constrained_[t]) continue;
-    TransKey key{static_cast<TermId>(t), no_children};
-    if (!trans_.count(key))
-      insert_transition_locked(
-          std::move(key),
-          compute_transition_locked(static_cast<TermId>(t), no_children));
-  }
-
-  // Bottom-up closure: combine known states under every operator arity until
-  // nothing new appears or a budget is hit. Tuples whose prefix already
-  // rules out every rule and subpattern are pruned.
-  std::size_t frontier_begin = 0;
-  bool out_of_budget = false;
-  while (frontier_begin < static_cast<std::size_t>(state_count_) &&
-         !out_of_budget) {
-    std::size_t frontier_end = static_cast<std::size_t>(state_count_);
-    for (std::size_t t = 0;
-         t < rules_by_terminal_.size() && !out_of_budget; ++t) {
-      if (terminal_constrained_[t]) continue;
-      if (static_cast<TermId>(t) == const_term_) continue;
-      for (int arity : arities_by_terminal_[t]) {
-        if (arity < 1) continue;
-        std::vector<const RulePlan*> plans;
-        for (const RulePlan& p :
-             rules_by_terminal_[t])
-          if (static_cast<int>(p.pattern->children.size()) == arity)
-            plans.push_back(&p);
-        std::vector<const PatNode*> subs;
-        for (int qi : subs_by_terminal_[t]) {
-          const PatNode* q = subpatterns_[static_cast<std::size_t>(qi)];
-          if (static_cast<int>(q->children.size()) == arity)
-            subs.push_back(q);
-        }
-        if (plans.empty() && subs.empty()) continue;
-
-        std::vector<int> tuple(static_cast<std::size_t>(arity));
-        auto enumerate = [&](auto&& self, int pos, bool has_new) -> void {
-          if (out_of_budget) return;
-          if (++work > work_cap ||
-              static_cast<std::size_t>(state_count_) >= options.max_states ||
-              trans_.size() >= options.max_transitions) {
-            out_of_budget = true;
-            return;
-          }
-          if (pos == arity) {
-            if (!has_new) return;
-            TransKey key{static_cast<TermId>(t), tuple};
-            if (trans_.count(key)) return;
-            insert_transition_locked(
-                std::move(key),
-                compute_transition_locked(static_cast<TermId>(t), tuple));
-            return;
-          }
-          for (std::size_t sid = 0; sid < frontier_end; ++sid) {
-            const std::int32_t* s = state_row_locked(static_cast<int>(sid));
-            // Prune: some rule or subpattern must still be able to match
-            // with this state at position `pos`.
-            bool viable = false;
-            for (const RulePlan* p : plans) {
-              if (rel_match_locked(
-                      *p->pattern->children[static_cast<std::size_t>(pos)],
-                      s) < kInf) {
-                viable = true;
-                break;
-              }
-            }
-            if (!viable) {
-              for (const PatNode* q : subs) {
-                if (rel_match_locked(
-                        *q->children[static_cast<std::size_t>(pos)], s) <
-                    kInf) {
-                  viable = true;
-                  break;
-                }
-              }
-            }
-            if (!viable) continue;
-            tuple[static_cast<std::size_t>(pos)] = static_cast<int>(sid);
-            self(self, pos + 1, has_new || sid >= frontier_begin);
-            if (out_of_budget) return;
-          }
-        };
-        enumerate(enumerate, 0, false);
-      }
-    }
-    frontier_begin = frontier_end;
-  }
-  closure_complete_ = !out_of_budget;
 }
 
 // --- persistence ------------------------------------------------------------
 
 namespace {
-// "BTR4": interned states, transitions in id order, #const leaf classes.
-// Blobs with an earlier magic read as malformed.
-constexpr std::uint32_t kTablesMagic = 0x42545234;
+// "BTR5": interned states, transitions in id order, #const leaf classes
+// (BTR4 also carried an eager-closure flag). Blobs with an earlier magic
+// read as malformed.
+constexpr std::uint32_t kTablesMagic = 0x42545235;
 }  // namespace
 
 void TargetTables::serialize(std::string& out) const {
@@ -804,7 +682,6 @@ void TargetTables::serialize(std::string& out) const {
   w.u64(fingerprint_);
   w.u32(static_cast<std::uint32_t>(nt_count_));
   w.u32(static_cast<std::uint32_t>(subpatterns_.size()));
-  w.u8(closure_complete_ ? 1 : 0);
   w.u32(static_cast<std::uint32_t>(state_count_));
   const std::size_t payload =
       static_cast<std::size_t>(stride_) - 3;  // cost + rule + sub
@@ -838,9 +715,7 @@ void TargetTables::serialize(std::string& out) const {
 std::unique_ptr<TargetTables> TargetTables::deserialize(
     const grammar::TreeGrammar& g, std::string_view blob,
     std::size_t& offset) {
-  TableBuildOptions no_precompute;
-  no_precompute.precompute = false;
-  auto tables = std::make_unique<TargetTables>(g, no_precompute);
+  auto tables = std::make_unique<TargetTables>(g);
 
   ByteReader r(blob, offset);
   if (r.u32() != kTablesMagic) return nullptr;
@@ -848,7 +723,6 @@ std::unique_ptr<TargetTables> TargetTables::deserialize(
   if (r.u32() != static_cast<std::uint32_t>(tables->nt_count_)) return nullptr;
   if (r.u32() != static_cast<std::uint32_t>(tables->subpatterns_.size()))
     return nullptr;
-  tables->closure_complete_ = r.u8() != 0;
   std::uint32_t n_states = r.u32();
   if (n_states > 1u << 22) return nullptr;
   const std::size_t payload =

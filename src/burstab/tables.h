@@ -1,6 +1,6 @@
-// Table-driven BURS: precomputed state tables for tree-pattern labelling
-// (the burg line of work — Chase 1987, Proebsting 1992 — applied to the
-// paper's processor-specific tree grammars).
+// Table-driven BURS: state tables for tree-pattern labelling (the burg line
+// of work — Chase 1987, Proebsting 1992 — applied to the paper's
+// processor-specific tree grammars).
 //
 // The dynamic-programming TreeParser recomputes, at every subject node, the
 // cheapest derivation of every non-terminal by re-matching every rule. The
@@ -16,11 +16,11 @@
 //
 // Subtrees with equal signatures are interchangeable, so signatures are
 // interned as *states* and per-node labelling becomes a single transition
-// lookup (operator, child states) -> (state, cost delta). Transitions are
-// precomputed bottom-up at table-construction time under a budget and filled
-// in dynamically (memoised, thread-safe) for combinations first met at parse
-// time; both populations are serialisable, so a persistent TargetCache warms
-// future runs to pure-lookup speed.
+// lookup (operator, child states) -> (state, cost delta). Construction only
+// compiles the grammar into rule plans; states and transitions are computed
+// on first use during labelling and memoised (thread-safe), so the tables
+// hold exactly what the labelled subjects reached. The memoised entries are
+// serialisable with their ids.
 //
 // The storage layout is private to tables.cpp:
 //
@@ -58,15 +58,8 @@ namespace record::burstab {
 
 inline constexpr int kInf = grammar::kInfCost;
 
-struct TableBuildOptions {
-  /// Run the bounded eager closure at construction time (leaf states plus
-  /// bottom-up reachable transitions). Off: tables fill purely on demand.
-  bool precompute = true;
-  /// Eager-closure budgets. The closure stops (and marks itself incomplete)
-  /// when either is hit; the remainder fills in dynamically at parse time.
-  std::size_t max_states = 512;
-  std::size_t max_transitions = 1u << 14;
-};
+/// Empty: kept only so callers passing `RetargetOptions::tables` compile.
+struct TableBuildOptions {};
 
 struct TableStats {
   std::size_t states = 0;
@@ -75,7 +68,6 @@ struct TableStats {
   std::size_t table_rules = 0;        // rules encoded in the tables
   std::size_t constrained_rules = 0;  // rules left to the fallback matcher
   std::size_t const_classes = 0;      // distinct #const leaf behaviours seen
-  bool closure_complete = false;      // eager closure finished within budget
 };
 
 /// Materialised state signature (construction, serialization and the
@@ -113,9 +105,10 @@ class TargetTables {
     int id = -1;
   };
 
-  /// Compiles the grammar into tables. The grammar may be moved afterwards
-  /// (pattern nodes are heap-stable); it must not be destroyed or mutated
-  /// while the tables are in use.
+  /// Compiles the grammar into rule plans; the tables start empty and fill
+  /// as subjects are labelled. The grammar may be moved afterwards (pattern
+  /// nodes are heap-stable); it must not be destroyed or mutated while the
+  /// tables are in use.
   explicit TargetTables(const grammar::TreeGrammar& g,
                         const TableBuildOptions& options = {});
 
@@ -327,7 +320,6 @@ class TargetTables {
       grammar::TermId term, const std::vector<int>& children) const;
   [[nodiscard]] int compute_const_state_locked(int fit_index,
                                                int const_class) const;
-  void run_closure(const TableBuildOptions& options);
 
   // --- immutable after construction ---------------------------------------
   int nt_count_ = 0;
@@ -348,8 +340,6 @@ class TargetTables {
   std::vector<int> fit_widths_;           // sorted distinct Imm widths
   std::vector<std::int64_t> const_values_;  // sorted distinct Const values
   std::unordered_map<std::int64_t, int> const_class_of_;
-  std::vector<std::vector<int>> arities_by_terminal_;      // [term] sorted
-  bool closure_complete_ = false;
 
   // --- mutable, guarded by mu_ ---------------------------------------------
   mutable std::shared_mutex mu_;

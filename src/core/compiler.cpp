@@ -8,18 +8,6 @@ namespace record::core {
 
 namespace {
 
-/// Refreshes a coverage map's denominators from the live tables (states and
-/// transitions grow dynamically as the tables fill).
-void refresh_coverage_totals(obs::CoverageMap& cov,
-                             const grammar::TreeGrammar& g,
-                             const burstab::TargetTables* tables) {
-  burstab::TableStats st;
-  if (tables) st = tables->stats();
-  cov.set_totals(static_cast<std::uint64_t>(g.rules().size()),
-                 static_cast<std::uint64_t>(st.states),
-                 static_cast<std::uint64_t>(st.transitions));
-}
-
 /// Per-compile counters, resolved once: a registry lookup takes its mutex,
 /// and every compile bumps an outcome counter and the encoder's two.
 struct CompileCounters {
@@ -83,7 +71,6 @@ std::optional<CompileResult> Compiler::compile(
         cfg.rule_names.push_back(grammar::rule_to_string(g, r));
       return cfg;
     });
-    refresh_coverage_totals(*cov, g, tables);
   }
 
   std::optional<obs::Span> stage;
@@ -146,9 +133,6 @@ std::optional<CompileResult> Compiler::compile(
                         cs.input_rts > emitted ? cs.input_rts - emitted : 0);
     cov->record_variant(obs::CoverageVariant::kCompactModeSet,
                         cs.mode_sets_inserted);
-    // Labelling may have grown the tables; refresh the denominators so the
-    // snapshot ratios stay honest.
-    refresh_coverage_totals(*cov, target_->tree_grammar, tables);
   }
   if (!diags.ok()) {
     counters().failed.add(1);

@@ -49,13 +49,12 @@ std::string options_digest(const RetargetOptions& o) {
       "pipeline:v{};extract:depth={},routes={},prune={},procout={};"
       "grammar:elide_ext={},elide_low={},self_moves={};"
       "extend:commut={},std_rewrites={};"
-      "tables:{},precompute={},states={},trans={}",
+      "tables:{}",
       kPipelineVersion, o.extract.limits.max_depth,
       o.extract.limits.max_routes_per_point, o.extract.prune_unsat,
       o.extract.include_proc_out, o.grammar.elide_extension_ops,
       o.grammar.elide_low_slices, o.grammar.skip_self_moves, o.commutativity,
-      o.standard_rewrites, o.build_tables, o.tables.precompute,
-      o.tables.max_states, o.tables.max_transitions);
+      o.standard_rewrites, o.build_tables);
 }
 
 namespace {

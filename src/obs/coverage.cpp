@@ -84,9 +84,6 @@ CoverageSnapshot coverage_diff(const CoverageSnapshot& before,
 void coverage_merge(CoverageSnapshot& into, const CoverageSnapshot& from) {
   if (into.target.empty()) into.target = from.target;
   into.rules_total = std::max(into.rules_total, from.rules_total);
-  into.states_total = std::max(into.states_total, from.states_total);
-  into.transitions_total =
-      std::max(into.transitions_total, from.transitions_total);
   if (into.rule_names.empty()) into.rule_names = from.rule_names;
   const auto add = [](std::vector<std::uint64_t>& a,
                       const std::vector<std::uint64_t>& b) {
@@ -119,7 +116,6 @@ CoverageMap::CoverageMap(std::string target, Config config)
     states_.reset(new std::atomic<std::uint64_t>[states_cap_]());
   if (transitions_cap_)
     transitions_.reset(new std::atomic<std::uint64_t>[transitions_cap_]());
-  set_totals(config.rules, 0, 0);
 }
 
 CoverageDistinct CoverageMap::distinct() const {
@@ -135,9 +131,7 @@ CoverageSnapshot CoverageMap::snapshot() const {
   CoverageSnapshot s;
   s.target = target_;
   s.rule_names = rule_names_;
-  s.rules_total = rules_total_.load(std::memory_order_relaxed);
-  s.states_total = states_total_.load(std::memory_order_relaxed);
-  s.transitions_total = transitions_total_.load(std::memory_order_relaxed);
+  s.rules_total = rules_cap_;
   const auto read = [](const std::atomic<std::uint64_t>* arr, std::size_t n,
                        std::vector<std::uint64_t>& out) {
     out.resize(n);
@@ -204,15 +198,16 @@ CoverageRegistry& coverage() {
 
 namespace {
 
+/// "covered/total (pct)"; total 0 = no denominator, prints the count alone.
 void append_ratio_line(std::string& out, const char* what,
                        std::size_t covered, std::uint64_t total) {
   out += "  ";
   out += what;
   out += ": ";
   out += std::to_string(covered);
-  out += '/';
-  out += std::to_string(total);
   if (total > 0) {
+    out += '/';
+    out += std::to_string(total);
     char buf[16];
     std::snprintf(buf, sizeof buf, " (%.1f%%)",
                   100.0 * static_cast<double>(covered) /
@@ -262,9 +257,8 @@ std::string coverage_report_text(const CoverageSnapshot& s) {
                     s.rules_total);
   append_ratio_line(out, "rules chosen", s.rules_chosen_covered(),
                     s.rules_total);
-  append_ratio_line(out, "states", s.states_covered(), s.states_total);
-  append_ratio_line(out, "transitions", s.transitions_covered(),
-                    s.transitions_total);
+  append_ratio_line(out, "states", s.states_covered(), 0);
+  append_ratio_line(out, "transitions", s.transitions_covered(), 0);
   out += "  cold transitions: ";
   out += std::to_string(s.counts.cold_transitions);
   out += '\n';
@@ -329,11 +323,11 @@ std::string coverage_report_json(const std::vector<CoverageSnapshot>& all) {
     append_dimension(out, "rules_chosen", s.rules_chosen_covered(),
                      s.rules_total, s.counts.rules_chosen, true);
     out.push_back(',');
-    append_dimension(out, "states", s.states_covered(), s.states_total,
-                     s.counts.states, false);
+    append_dimension(out, "states", s.states_covered(), 0, s.counts.states,
+                     false);
     out.push_back(',');
-    append_dimension(out, "transitions", s.transitions_covered(),
-                     s.transitions_total, s.counts.transitions, false);
+    append_dimension(out, "transitions", s.transitions_covered(), 0,
+                     s.counts.transitions, false);
     out += ",\"cold_transitions\":";
     out += std::to_string(s.counts.cold_transitions);
     out += ",\"variants\":{";

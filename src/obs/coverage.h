@@ -24,6 +24,11 @@
 // per index (fetch_add returning 0 claims the first hit), so coverage-guided
 // fuzzing reads novelty deltas in O(1) without walking the arrays.
 //
+// State and transition ids are handed out in first-use order per
+// TargetTables instance: the tables fill on demand as subjects are labelled,
+// so these two dimensions have no fixed denominator, and ids from two
+// instances of one target's tables need not name the same entry.
+//
 // Snapshots are plain-value CoverageSnapshot structs supporting diff (what
 // did THIS input add), merge (fold a worker's map into a campaign total) and
 // export as JSON or a human-readable report with uncovered-rule names.
@@ -67,15 +72,11 @@ struct CoverageCounts {
   std::uint64_t cold_transitions = 0;     // merges, #const leaves (no id)
 };
 
-/// One target's coverage, frozen as plain values. `*_total` are the
-/// denominators known at snapshot time (rule count is exact; state and
-/// transition counts grow as tables fill dynamically and are
-/// refreshed on every compile).
+/// One target's coverage, frozen as plain values. Only rules have a
+/// denominator, `rules_total`, fixed when the map is created.
 struct CoverageSnapshot {
   std::string target;
   std::uint64_t rules_total = 0;
-  std::uint64_t states_total = 0;
-  std::uint64_t transitions_total = 0;
   std::vector<std::string> rule_names;  // [rule id]; may be empty
   CoverageCounts counts;
 
@@ -88,13 +89,13 @@ struct CoverageSnapshot {
 };
 
 /// counts(after) - counts(before), elementwise (saturating at 0); target,
-/// totals and names come from `after`. The before/after maps must be
+/// rule total and names come from `after`. The before/after maps must be
 /// snapshots of the same CoverageMap.
 [[nodiscard]] CoverageSnapshot coverage_diff(const CoverageSnapshot& before,
                                              const CoverageSnapshot& after);
 
 /// Adds `from`'s counts into `into` elementwise, growing arrays as needed;
-/// totals take the max (the later snapshot knows more of the table).
+/// the rule total takes the max.
 void coverage_merge(CoverageSnapshot& into, const CoverageSnapshot& from);
 
 /// O(1)-readable distinct-coverage counters (for novelty deltas).
@@ -153,13 +154,6 @@ class CoverageMap {
     if (n) variants_[static_cast<std::size_t>(v)].fetch_add(
         n, std::memory_order_relaxed);
   }
-  /// Refreshes the denominators (relaxed stores; called once per compile).
-  void set_totals(std::uint64_t rules, std::uint64_t states,
-                  std::uint64_t transitions) {
-    rules_total_.store(rules, std::memory_order_relaxed);
-    states_total_.store(states, std::memory_order_relaxed);
-    transitions_total_.store(transitions, std::memory_order_relaxed);
-  }
 #else
   void record_rule_matched(int) {}
   void record_rule_chosen(int) {}
@@ -167,7 +161,6 @@ class CoverageMap {
   void record_transition(int) {}
   void record_cold_transition() {}
   void record_variant(CoverageVariant, std::uint64_t = 1) {}
-  void set_totals(std::uint64_t, std::uint64_t, std::uint64_t) {}
 #endif
 
   [[nodiscard]] CoverageDistinct distinct() const;
@@ -205,9 +198,6 @@ class CoverageMap {
   std::atomic<std::uint64_t> distinct_rules_chosen_{0};
   std::atomic<std::uint64_t> distinct_states_{0};
   std::atomic<std::uint64_t> distinct_transitions_{0};
-  std::atomic<std::uint64_t> rules_total_{0};
-  std::atomic<std::uint64_t> states_total_{0};
-  std::atomic<std::uint64_t> transitions_total_{0};
 };
 
 /// Name -> CoverageMap. Mirrors MetricsRegistry: lookup takes a mutex and
@@ -253,8 +243,9 @@ class CoverageRegistry {
 /// The process-wide coverage registry (off until enable()).
 [[nodiscard]] CoverageRegistry& coverage();
 
-/// Human-readable per-target report (covered/total per dimension, variant
-/// tallies, the uncovered-rule list with names when available).
+/// Human-readable per-target report (covered/total for rules, covered counts
+/// for states and transitions, variant tallies, the uncovered-rule list with
+/// names when available).
 [[nodiscard]] std::string coverage_report_text(const CoverageSnapshot& s);
 
 /// JSON report over several targets:

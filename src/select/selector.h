@@ -12,8 +12,9 @@
 // Steady-state selection is allocation-light: label results and derivations
 // live in a SelectScratch (flat label array + bump arena) that the selector
 // reuses across statements and that callers — notably CompileService
-// workers — can reuse across whole jobs; per-rule read lists, template
-// signatures and immediate-field BDD variables are memoised per target.
+// workers — can reuse across whole jobs. Per-rule read lists, template
+// signatures and (template, immediate value) encoding conditions are
+// memoised per CodeSelector, that is per compile, not per target.
 #pragma once
 
 #include <memory>
@@ -35,9 +36,9 @@ namespace record::select {
 
 /// Labelling engine: the dynamic-programming interpreter (TreeParser) or the
 /// table-driven burstab engine. Both produce identical optimal derivations;
-/// the table engine trades a per-target table-compilation step for O(1)
-/// per-node lookups at selection time. kAuto selects tables whenever the
-/// target carries them.
+/// the table engine memoises per-target states and transitions on first use,
+/// so a node whose combination was met before costs one lookup. kAuto
+/// selects tables whenever the target carries them.
 enum class Engine : std::uint8_t { kAuto, kInterpreter, kTables };
 
 [[nodiscard]] std::string_view to_string(Engine e);
@@ -218,7 +219,7 @@ class CodeSelector {
   std::unique_ptr<SelectScratch> owned_scratch_;  // when none was passed
   SelectScratch* scratch_;
 
-  // Per-target memos (lazily filled; all keyed by stable ids).
+  // Per-selector memos (lazily filled; all keyed by stable ids).
   std::vector<std::unique_ptr<std::vector<std::string>>> reads_cache_;
   std::vector<std::unique_ptr<std::vector<int>>> read_ordinals_cache_;
   std::vector<std::string> signature_cache_;  // [template id]

@@ -51,9 +51,9 @@ Json coverage_json(const obs::CoverageSnapshot& s) {
   out.set("rules_matched",
           ratio_json(s.rules_matched_covered(), s.rules_total));
   out.set("rules_chosen", ratio_json(s.rules_chosen_covered(), s.rules_total));
-  out.set("states", ratio_json(s.states_covered(), s.states_total));
-  out.set("transitions",
-          ratio_json(s.transitions_covered(), s.transitions_total));
+  // State and transition ids are first-use ordered: no denominator.
+  out.set("states", ratio_json(s.states_covered(), 0));
+  out.set("transitions", ratio_json(s.transitions_covered(), 0));
   out.set("cold_transitions",
           Json(static_cast<double>(s.counts.cold_transitions)));
   Json variants = Json::object();

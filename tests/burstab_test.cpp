@@ -7,12 +7,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "burstab/cache.h"
@@ -95,6 +97,17 @@ bool expect_engines_agree(const TreeGrammar& g, const TargetTables& tables,
           << what << ": " << tree.to_string(g);
   }
   return a.ok;
+}
+
+/// Exact LabelResult equality: every node's cost and winning rule.
+bool same_labels(const LabelResult& a, const LabelResult& b) {
+  if (a.ok != b.ok || a.root_cost != b.root_cost || a.nt_count != b.nt_count ||
+      a.flat.size() != b.flat.size())
+    return false;
+  for (std::size_t i = 0; i < a.flat.size(); ++i)
+    if (a.flat[i].cost != b.flat[i].cost || a.flat[i].rule != b.flat[i].rule)
+      return false;
+  return true;
 }
 
 /// Random subject trees over the grammar's terminal alphabet: adversarial
@@ -336,26 +349,6 @@ TEST(BurstabDifferential, StructuralEqualityBinding) {
   EXPECT_EQ(lr.root_cost, 1);  // x+x rule, not the cost-2 sibling
 }
 
-TEST(BurstabDifferential, DynamicOnlyTablesMatchPrecomputed) {
-  PlainFixture f;
-  TableBuildOptions lazy;
-  lazy.precompute = false;
-  TargetTables eager(f.g);
-  TargetTables dynamic(f.g, lazy);
-  RandomTreeGen gen(f.g, 7);
-  for (int i = 0; i < 100; ++i) {
-    SubjectTree t = gen.make_assign(1 + i % 4);
-    TableParser pe(f.g, eager);
-    TableParser pd(f.g, dynamic);
-    LabelResult a = pe.label(t);
-    LabelResult b = pd.label(t);
-    EXPECT_EQ(a.ok, b.ok);
-    EXPECT_EQ(a.root_cost, b.root_cost);
-  }
-  EXPECT_GT(eager.stats().states, 0u);
-  EXPECT_GT(dynamic.stats().states, 0u);
-}
-
 // --- built-in models --------------------------------------------------------
 
 class BurstabModel : public ::testing::TestWithParam<const char*> {};
@@ -429,49 +422,72 @@ TEST_P(BurstabModel, SelectionListingsIdentical) {
   b.let("acc", std::move(sum));
   ir::Program prog = b.take();
 
-  // Three selectors side by side: the interpreter, the tables the
-  // retarget ships (eager closure) and tables filled purely on demand — all
+  // The interpreter and the tables the retarget ships, side by side:
   // listings bit-identical.
-  TableBuildOptions lazy;
-  lazy.precompute = false;
-  TargetTables lazy_tables(target->tree_grammar, lazy);
-
-  util::DiagnosticSink d1, d2, d3;
+  util::DiagnosticSink d1, d2;
   select::CodeSelector interp(*target->base, target->tree_grammar, d1);
   select::CodeSelector tabular(*target->base, target->tree_grammar, d2,
                                target->tables.get());
-  select::CodeSelector on_demand(*target->base, target->tree_grammar, d3,
-                                 &lazy_tables);
   EXPECT_EQ(interp.engine(), select::Engine::kInterpreter);
   EXPECT_EQ(tabular.engine(), select::Engine::kTables);
   auto ra = interp.select(prog);
   auto rb = tabular.select(prog);
-  auto rc = on_demand.select(prog);
   ASSERT_TRUE(ra) << d1.str();
   ASSERT_TRUE(rb) << d2.str();
-  ASSERT_TRUE(rc) << d3.str();
   EXPECT_EQ(ra->total_rts, rb->total_rts);
   EXPECT_EQ(ra->listing(), rb->listing());
-  EXPECT_EQ(ra->listing(), rc->listing());
 }
 
-TEST_P(BurstabModel, EagerAndLazyTablesAgreeOnRandomTrees) {
+TEST_P(BurstabModel, ConcurrentOnDemandFillMatchesInterpreter) {
+  // A shared target's first jobs fill its tables on demand from several
+  // workers at once. Four threads labelling one corpus on one fresh
+  // TargetTables must each get the interpreter's LabelResult, and leave the
+  // tables holding as many states and transitions as a single-threaded fill
+  // of the same corpus.
   util::DiagnosticSink diags;
   auto target =
       core::Record::retarget_model(GetParam(), core::RetargetOptions{}, diags);
   ASSERT_TRUE(target) << diags.str();
-  ASSERT_NE(target->tables, nullptr);
-  TableBuildOptions lazy;
-  lazy.precompute = false;
-  TargetTables lazy_tables(target->tree_grammar, lazy);
+  const TreeGrammar& g = target->tree_grammar;
 
-  RandomTreeGen gen(target->tree_grammar, 20260726);
-  for (int i = 0; i < 60; ++i) {
-    SubjectTree t = gen.make_assign(1 + i % 4);
-    // Eagerly closed and on-demand tables against the interpreter.
-    expect_engines_agree(target->tree_grammar, *target->tables, t, "eager");
-    expect_engines_agree(target->tree_grammar, lazy_tables, t, "lazy");
+  RandomTreeGen gen(g, 31337);
+  std::vector<SubjectTree> corpus;
+  for (int i = 0; i < 120; ++i)
+    corpus.push_back(i % 3 == 2 ? gen.make_tree(1 + i % 4)
+                                : gen.make_assign(1 + i % 4));
+  TreeParser interp(g);
+  std::vector<LabelResult> expected;
+  for (const SubjectTree& t : corpus) expected.push_back(interp.label(t));
+
+  TargetTables serial(g);
+  {
+    TableParser p(g, serial);
+    for (const SubjectTree& t : corpus) (void)p.label(t);
   }
+
+  TargetTables shared(g);
+  constexpr std::size_t kThreads = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < kThreads; ++k)
+    threads.emplace_back([&, k] {
+      TableParser p(g, shared);
+      LabelResult r;
+      // Each thread starts at its own offset: first uses race on the same
+      // entries and on different ones.
+      for (std::size_t i = 0; i < corpus.size(); ++i) {
+        const std::size_t at =
+            (i + k * corpus.size() / kThreads) % corpus.size();
+        p.label_into(corpus[at], r);
+        if (!same_labels(r, expected[at])) mismatches.fetch_add(1);
+      }
+    });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const TableStats filled = shared.stats();
+  EXPECT_GT(filled.transitions, 0u);
+  EXPECT_EQ(filled.states, serial.stats().states);
+  EXPECT_EQ(filled.transitions, serial.stats().transitions);
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, BurstabModel,
@@ -627,9 +643,7 @@ TEST(BurstabCoverage, RelabellingKeepsDistinctTransitions) {
   // Transition ids are handed out once, at insertion, and never renumbered:
   // labelling a corpus a second time may only hit ids already seen.
   PlainFixture f;
-  TableBuildOptions lazy;
-  lazy.precompute = false;  // every transition is created by labelling
-  TargetTables tables(f.g, lazy);
+  TargetTables tables(f.g);  // every transition is created by labelling
   obs::CoverageMap::Config cc;
   cc.rules = f.g.rules().size();
   cc.states = 4096;
@@ -682,11 +696,6 @@ TEST(BurstabCache, WarmLoadServesIdenticalTarget) {
   ASSERT_TRUE(warm) << diags.str();
   EXPECT_TRUE(warm->cache_hit);
   ASSERT_NE(warm->tables, nullptr);
-  // The warm tables carry every state and transition the cold run held.
-  EXPECT_EQ(warm->tables->stats().states, cold->tables->stats().states);
-  EXPECT_GT(warm->tables->stats().transitions, 0u);
-  EXPECT_EQ(warm->tables->stats().transitions,
-            cold->tables->stats().transitions);
   EXPECT_EQ(warm->processor, cold->processor);
   EXPECT_EQ(warm->base->templates.size(), cold->base->templates.size());
   EXPECT_EQ(grammar_fingerprint(warm->tree_grammar),
@@ -715,6 +724,11 @@ TEST(BurstabCache, WarmLoadServesIdenticalTarget) {
   select::CodeSelector sw(*warm->base, warm->tree_grammar, dw,
                           warm->tables.get());
   EXPECT_EQ(sc.select(prog)->listing(), sw.select(prog)->listing());
+  // Labelling one program fills the cold and the warm tables alike.
+  EXPECT_GT(warm->tables->stats().transitions, 0u);
+  EXPECT_EQ(warm->tables->stats().states, cold->tables->stats().states);
+  EXPECT_EQ(warm->tables->stats().transitions,
+            cold->tables->stats().transitions);
 
   // Options that shape the artifacts key separately.
   core::RetargetOptions other = options;
@@ -854,29 +868,35 @@ TEST(BurstabCache, OutOfRangeFitIndexIsRejectedAndRebuilds) {
 
   // The tables section is the tail of the entry: exactly what serialising
   // the cold tables produces before any labelling grows them.
-  std::string tables_blob;
-  cold->tables->serialize(tables_blob);
-  ASSERT_GT(blob.size(), tables_blob.size() + 24);
-  const std::size_t tables_at = blob.size() - tables_blob.size();
-  ASSERT_EQ(blob.substr(tables_at), tables_blob);
+  std::string stored_tables;
+  cold->tables->serialize(stored_tables);
+  ASSERT_GT(blob.size(), stored_tables.size() + 24);
+  const std::size_t tables_at = blob.size() - stored_tables.size();
+  ASSERT_EQ(blob.substr(tables_at), stored_tables);
   const ir::Program prog = degradation_probe();
   const std::string reference = listing_of(*cold, prog, cold->tables.get());
+  // Labelling filled the tables: splice their serialisation in as the
+  // entry's tables section, so there is a state row to corrupt. Header:
+  // magic u32, version u32, key u64, payload checksum u64. The splice alone
+  // is a well-formed entry.
+  std::string tables_blob;
+  cold->tables->serialize(tables_blob);
+  std::string bad = blob.substr(0, tables_at) + tables_blob;
+  put_le(bad, 16, fnv1a(std::string_view(bad).substr(24)), 8);
+  write_file(path, bad);
+  ASSERT_TRUE(TargetCache(dir).load(key));
   // Section header: magic u32, fingerprint u64, nts u32, subpatterns u32,
-  // closure u8, state count u32. A row is (2 * nts + subpatterns) i32s, the
-  // const-leaf flag u8, then the fit index i32.
+  // state count u32. A row is (2 * nts + subpatterns) i32s, the const-leaf
+  // flag u8, then the fit index i32.
   ByteReader r(tables_blob);
   (void)r.u32();
   (void)r.u64();
   const std::size_t nts = r.u32();
   const std::size_t subs = r.u32();
-  (void)r.u8();
   ASSERT_GT(r.u32(), 0u);
   ASSERT_TRUE(r.ok());
   const std::size_t fit_at = tables_at + r.pos() + (2 * nts + subs) * 4 + 1;
-
-  std::string bad = blob;
   put_le(bad, fit_at, 99, 4);
-  // Header: magic u32, version u32, key u64, payload checksum u64.
   put_le(bad, 16, fnv1a(std::string_view(bad).substr(24)), 8);
   write_file(path, bad);
 

@@ -358,7 +358,6 @@ TEST(CoverageTest, RecordsHitsDistinctAndOverflow) {
   map.record_cold_transition();
   map.record_variant(CoverageVariant::kCompactMerge, 5);
   map.record_variant(CoverageVariant::kSpillPark, 0);  // no-op
-  map.set_totals(4, 3, 3);
 
   CoverageDistinct d = map.distinct();
   EXPECT_EQ(d.rules_matched, 2u);
@@ -390,7 +389,6 @@ TEST(CoverageTest, RecordsHitsDistinctAndOverflow) {
 TEST(CoverageTest, DiffSubtractsAndMergeAccumulates) {
   CoverageMap map("t", small_config());
   map.record_rule_chosen(0);
-  map.set_totals(4, 3, 3);
   CoverageSnapshot before = map.snapshot();
   map.record_rule_chosen(0);
   map.record_rule_chosen(1);
@@ -463,7 +461,6 @@ TEST(CoverageTest, ConcurrentHitsLoseNothing) {
 TEST(CoverageTest, ReportJsonParsesWithHostileTargetName) {
   CoverageMap map("gen\"x\"\x01\\", small_config());
   map.record_rule_chosen(0);
-  map.set_totals(4, 3, 3);
   std::string json = coverage_report_json({map.snapshot()});
   std::string error;
   std::optional<service::Json> parsed = service::Json::parse(json, &error);

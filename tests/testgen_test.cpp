@@ -492,21 +492,35 @@ TEST(GrammarEdge, DuplicateSignatureStatesAreShared) {
     }
     return g;
   };
+  // The tables fill on demand: label every register pairing, one and two
+  // plus levels deep, with both engines agreeing on each subject.
+  auto fill = [](const TreeGrammar& g, const burstab::TargetTables& tables,
+                 int copies) {
+    auto reg = [&g](treeparse::SubjectTree& t, int i) {
+      return t.make(g.find_terminal("$reg:R" + std::to_string(i)));
+    };
+    for (int i = 0; i < copies; ++i)
+      for (int j = 0; j < copies; ++j)
+        for (bool nested : {false, true}) {
+          treeparse::SubjectTree t;
+          auto* dest = t.make(g.find_terminal("$dest:A"));
+          auto* l = nested ? t.make(g.find_terminal("plus"),
+                                    {reg(t, i), reg(t, i)})
+                           : reg(t, i);
+          auto* plus = t.make(g.find_terminal("plus"), {l, reg(t, j)});
+          t.set_root(t.make(g.assign_terminal(), {dest, plus}));
+          expect_agreement(g, tables, t);
+        }
+  };
   auto g1 = build(1);
   auto g4 = build(4);
   burstab::TargetTables t1(*g1);
   burstab::TargetTables t4(*g4);
+  fill(*g1, t1, 1);
+  fill(*g4, t4, 4);
   EXPECT_GT(t1.stats().states, 0u);
   // Duplicated structure must not blow the state space combinatorially.
   EXPECT_LE(t4.stats().states, t1.stats().states * 4 + 4);
-  // And parsing agrees on a symmetric subject.
-  treeparse::SubjectTree t;
-  auto* dest = t.make(g4->find_terminal("$dest:A"));
-  auto* l = t.make(g4->find_terminal("$reg:R2"));
-  auto* r = t.make(g4->find_terminal("$reg:R2"));
-  auto* plus = t.make(g4->find_terminal("plus"), {l, r});
-  t.set_root(t.make(g4->assign_terminal(), {dest, plus}));
-  expect_agreement(*g4, t4, t);
 }
 
 TEST(GrammarEdge, UnreachableOpFailsIdenticallyOnGeneratedModel) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 
 #include "util/diagnostics.h"
@@ -135,8 +136,9 @@ TEST(Diagnostics, UnknownLocRendering) {
 
 TEST(Timer, MeasuresNonNegativeDurations) {
   Timer t;
-  volatile int sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  // Unsigned 64-bit: the sum (about 5.0e9) overflows a signed int.
+  volatile std::uint64_t sink = 0;
+  for (std::uint64_t i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(t.seconds(), 0.0);
   EXPECT_GE(t.milliseconds(), t.seconds());
 }

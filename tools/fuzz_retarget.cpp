@@ -634,7 +634,7 @@ int main(int argc, char** argv) {
         obs::coverage().snapshot_all();
     if (!cov.empty()) {
       std::uint64_t rules_matched = 0, rules_chosen = 0, states = 0,
-                    transitions = 0, rules_total = 0, transitions_total = 0;
+                    transitions = 0, rules_total = 0;
       service::Json per_model = service::Json::array();
       for (const obs::CoverageSnapshot& s : cov) {
         rules_matched += s.rules_matched_covered();
@@ -642,7 +642,6 @@ int main(int argc, char** argv) {
         states += s.states_covered();
         transitions += s.transitions_covered();
         rules_total += s.rules_total;
-        transitions_total += s.transitions_total;
         if (guided) {
           service::Json m = service::Json::object();
           m.set("target", service::Json(s.target));
@@ -654,8 +653,6 @@ int main(int argc, char** argv) {
                 service::Json(static_cast<double>(s.states_covered())));
           m.set("transitions", service::Json(static_cast<double>(
                                    s.transitions_covered())));
-          m.set("transitions_total",
-                service::Json(static_cast<double>(s.transitions_total)));
           per_model.push(std::move(m));
         }
       }
@@ -667,8 +664,6 @@ int main(int argc, char** argv) {
       jc.set("states", service::Json(static_cast<double>(states)));
       jc.set("transitions", service::Json(static_cast<double>(transitions)));
       jc.set("rules_total", service::Json(static_cast<double>(rules_total)));
-      jc.set("transitions_total",
-             service::Json(static_cast<double>(transitions_total)));
       if (guided) {
         jc.set("budget", service::Json(static_cast<double>(guided->budget)));
         jc.set("corpus_retained",
