@@ -41,7 +41,11 @@ constexpr std::uint32_t kCacheMagic = 0x52544331;  // "RTC1"
 // miss and rebuild cleanly.
 // v8: the tables section drops the eager-closure flag (BTR5); tables fill on
 // demand only. v7 blobs are a miss and rebuild cleanly.
-constexpr std::uint32_t kCacheVersion = 8;
+// v9: no tables section. Tables are a per-process memo that fills as
+// subjects are labelled, so an entry keeps only the byte saying whether the
+// target was built with tables, and load() constructs them empty over the
+// loaded grammar. v8 blobs are a miss and rebuild cleanly.
+constexpr std::uint32_t kCacheVersion = 9;
 
 // The header: magic, version, key, checksum.
 constexpr std::size_t kCacheHeaderBytes = 24;
@@ -199,13 +203,9 @@ std::optional<TargetArtifacts> TargetCache::load(std::uint64_t key) const {
   if (!read_template_base(r, a.base)) return reject();
   a.base.writers = rtl::write_conditions(a.base);
   if (!read_grammar(r, a.grammar)) return reject();
-  bool has_tables = r.u8() != 0;
-  if (!r.ok()) return reject();
-  if (has_tables) {
-    std::size_t offset = r.pos();
-    a.tables = TargetTables::deserialize(a.grammar, blob, offset);
-    if (!a.tables) return reject();
-  }
+  const std::uint8_t has_tables = r.u8();
+  if (!r.ok() || has_tables > 1 || r.pos() != blob.size()) return reject();
+  if (has_tables) a.tables = std::make_shared<TargetTables>(a.grammar);
   obs::metrics().counter("burstab.cache.hit").add(1);
   return a;
 }
@@ -236,7 +236,6 @@ bool TargetCache::store(std::uint64_t key,
   write_grammar(w, *artifacts.grammar);
   w.u8(artifacts.tables ? 1 : 0);
   std::string payload = w.take();
-  if (artifacts.tables) artifacts.tables->serialize(payload);
 
   ByteWriter header;
   header.u32(kCacheMagic);

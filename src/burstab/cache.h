@@ -3,13 +3,14 @@
 //
 // The paper's Table 3 pays the full HDL -> netlist -> ISE -> extension ->
 // grammar pipeline on every retarget. For an unchanged model that work is
-// pure recomputation, so the cache serialises everything a code selector
-// needs — processor name, extended RT template base (with BDD execution
-// conditions), tree grammar, compiled BURS state tables and phase statistics
-// — into one binary blob per key under a cache directory (default:
-// <system temp>/record-target-cache). A warm Record::retarget then reduces
-// to one file read plus deserialisation, and table-driven selection starts
-// from the previously accumulated state tables instead of an empty set.
+// pure recomputation, so the cache serialises what the pipeline derives —
+// processor name, extended RT template base (with BDD execution
+// conditions), tree grammar and phase statistics — into one binary blob per
+// key under a cache directory (default: <system temp>/record-target-cache).
+// A warm Record::retarget then reduces to one file read plus
+// deserialisation. BURS state tables are not stored: they are a memo that
+// fills as subjects are labelled, so a warm target gets fresh, empty tables
+// over the loaded grammar, exactly like a cold one.
 //
 // Corruption safety: the blob header carries an FNV-1a checksum of the
 // payload; a truncated, torn or bit-flipped entry fails load() (a cache
@@ -37,7 +38,8 @@ struct TargetArtifacts {
   std::string processor;
   rtl::TemplateBase base;
   grammar::TreeGrammar grammar;
-  std::shared_ptr<TargetTables> tables;  // null if built without tables
+  /// Fresh, empty tables over `grammar`; null if built without tables.
+  std::shared_ptr<TargetTables> tables;
   ise::ExtractStats extract_stats;
   rtl::ExtendStats extend_stats;
   grammar::BuildStats grammar_stats;
@@ -48,7 +50,8 @@ struct TargetArtifactsView {
   const std::string* processor = nullptr;
   const rtl::TemplateBase* base = nullptr;
   const grammar::TreeGrammar* grammar = nullptr;
-  const TargetTables* tables = nullptr;  // optional
+  /// Optional. Only whether it is set is stored, never its contents.
+  const TargetTables* tables = nullptr;
   const ise::ExtractStats* extract_stats = nullptr;
   const rtl::ExtendStats* extend_stats = nullptr;
   const grammar::BuildStats* grammar_stats = nullptr;
@@ -74,8 +77,10 @@ class TargetCache {
   [[nodiscard]] static std::uint64_t key_of(std::string_view hdl_source,
                                             std::string_view options_digest);
 
-  /// The loaded base is complete: its write conditions
-  /// (rtl::TemplateBase::writers) are rebuilt from the templates.
+  /// The loaded artifacts are complete: the base's write conditions
+  /// (rtl::TemplateBase::writers) are rebuilt from the templates, and the
+  /// tables, if the entry was built with them, are constructed empty over
+  /// the loaded grammar.
   [[nodiscard]] std::optional<TargetArtifacts> load(std::uint64_t key) const;
 
   /// Serialises and atomically publishes (write + rename) the artifacts.

@@ -1,5 +1,5 @@
-// Binary (de)serialisation for retargeting artifacts: tree grammars, RT
-// template bases (including BDD execution conditions) and BURS state tables.
+// Binary (de)serialisation for retargeting artifacts: tree grammars and RT
+// template bases (including BDD execution conditions).
 //
 // The format is a fixed-width little-endian byte stream — no framing library,
 // no versioned schema evolution; a format-version word plus a content hash of
@@ -73,7 +73,7 @@ void write_grammar(ByteWriter& w, const grammar::TreeGrammar& g);
 [[nodiscard]] bool read_grammar(ByteReader& r, grammar::TreeGrammar& g);
 
 /// Canonical serialised form of the grammar, hashed; identifies a grammar
-/// across processes (used to pair cached tables with their grammar).
+/// across processes (a cold and a cache-loaded grammar hash alike).
 [[nodiscard]] std::uint64_t grammar_fingerprint(const grammar::TreeGrammar& g);
 
 // --- RT template bases ------------------------------------------------------

@@ -229,7 +229,12 @@ void TableParser::label_into(const SubjectTree& tree,
       }
       const TargetTables::Transition t =
           tables_.transition(node.term, child_states);
-      if (coverage_) coverage_->record_transition(t.id);
+      if (coverage_) {
+        if (owns_ids_)
+          coverage_->record_transition(t.id);
+        else
+          coverage_->record_foreign_id();
+      }
       state = t.state;
       base = sat_add(base, t.delta);
     }
@@ -246,7 +251,10 @@ void TableParser::label_into(const SubjectTree& tree,
 
   if (coverage_) {
     for (std::size_t id = 0; id < tree.size(); ++id) {
-      coverage_->record_state(state_of[id]);
+      if (owns_ids_)
+        coverage_->record_state(state_of[id]);
+      else
+        coverage_->record_foreign_id();
       const LabelEntry* row = result.row(id);
       for (int i = 0; i < nts; ++i) {
         const LabelEntry& e = row[static_cast<std::size_t>(i)];

@@ -9,8 +9,8 @@
 //
 // The per-node lookup is one probe of the tables' memoised transition map
 // under a shared lock; a combination met for the first time is computed and
-// memoised. Each lookup reports the transition's stable id, which is what
-// an attached coverage map records.
+// memoised. Each lookup reports the transition's id (dense, per tables
+// instance), which is what an attached coverage map records.
 //
 // Nodes whose operator owns a side-constrained rule (shared immediate
 // fields, structural-equality non-terminal bindings) are labelled through
@@ -61,14 +61,20 @@ class TableParser {
   /// Attach a coverage map (null detaches). The disabled cost in
   /// label_into is one pointer test per node; when attached, every state
   /// assignment, transition lookup (by id), cold merge and matched rule is
-  /// recorded.
-  void set_coverage(obs::CoverageMap* map) { coverage_ = map; }
+  /// recorded. State and transition ids count only if these tables own the
+  /// map's ids (CoverageMap::claim_ids, decided here once); otherwise each
+  /// goes to the map's foreign-id counter.
+  void set_coverage(obs::CoverageMap* map) {
+    coverage_ = map;
+    owns_ids_ = map && map->claim_ids(tables_.instance());
+  }
 
  private:
   const grammar::TreeGrammar& g_;
   const TargetTables& tables_;
   treeparse::TreeParser reducer_;  // shared reduce path
   obs::CoverageMap* coverage_ = nullptr;
+  bool owns_ids_ = false;  // coverage_ counts this instance's ids
 };
 
 }  // namespace record::burstab

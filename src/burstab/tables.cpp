@@ -1,11 +1,11 @@
 #include "burstab/tables.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <mutex>
 
-#include "burstab/serialize.h"
 #include "treeparse/burs.h"
 #include "util/strings.h"
 
@@ -106,14 +106,12 @@ std::string TargetTables::pattern_key(const PatNode& p) {
 void TargetTables::prepare(const grammar::TreeGrammar& g) {
   nt_count_ = g.nonterminal_count();
   const_term_ = g.const_terminal();
-  fingerprint_ = ::record::burstab::grammar_fingerprint(g);
   const int terms = g.terminal_count();
 
   rules_by_terminal_.assign(static_cast<std::size_t>(terms), {});
-  constrained_by_terminal_.assign(static_cast<std::size_t>(terms), {});
   const_root_rules_.assign(1, {});
   chains_from_.assign(static_cast<std::size_t>(nt_count_), {});
-  constrained_rule_.assign(g.rules().size(), false);
+  rule_count_ = g.rules().size();
   terminal_constrained_.assign(static_cast<std::size_t>(terms), false);
   subs_by_terminal_.assign(static_cast<std::size_t>(terms), {});
   constrained_precheck_.assign(static_cast<std::size_t>(terms), {});
@@ -154,24 +152,20 @@ void TargetTables::prepare(const grammar::TreeGrammar& g) {
   };
 
   for (const Rule& r : g.rules()) {
-    const std::size_t rid = static_cast<std::size_t>(r.id);
     if (r.is_chain()) {
       chains_from_[static_cast<std::size_t>(r.pattern->nt)].push_back(
           ChainPlan{r.id, r.lhs, r.cost});
       continue;
     }
-    const bool constrained = pattern_is_constrained(*r.pattern);
-    constrained_rule_[rid] = constrained;
     scan_leaves(scan_leaves, *r.pattern);
-    if (constrained) {
+    if (pattern_is_constrained(*r.pattern)) {
+      ++constrained_count_;
       // Nodes of this operator run the hybrid path: table transition plus
       // a matcher sweep over exactly these rules.
       TermId root_term = r.pattern->kind == PatNode::Kind::Term
                              ? r.pattern->term
                              : const_term_;
       terminal_constrained_[static_cast<std::size_t>(root_term)] = true;
-      constrained_by_terminal_[static_cast<std::size_t>(root_term)]
-          .push_back(r.id);
       if (r.pattern->kind == PatNode::Kind::Term) {
         ConstrainedPrecheck pc;
         pc.rule = r.id;
@@ -230,6 +224,8 @@ void TargetTables::prepare(const grammar::TreeGrammar& g) {
 TargetTables::TargetTables(const grammar::TreeGrammar& g,
                            const TableBuildOptions&)
     : state_index_(16, RowHash{this}, RowEq{this}) {
+  static std::atomic<std::uint64_t> next_instance{1};
+  instance_ = next_instance.fetch_add(1, std::memory_order_relaxed);
   prepare(g);
 }
 
@@ -265,19 +261,6 @@ void TargetTables::fill_row_from_state(const StateData& s,
   meta[0] = s.is_const_leaf ? 1 : 0;
   meta[1] = s.fit_width_index;
   meta[2] = s.const_class;
-}
-
-bool TargetTables::row_in_bounds(const std::int32_t* row) const {
-  const std::int32_t rules = static_cast<std::int32_t>(constrained_rule_.size());
-  for (int i = 0; i < nt_count_; ++i) {
-    const std::int32_t r = row[nt_count_ + i];
-    if (r < -1 || r >= rules) return false;
-  }
-  const std::int32_t* meta = row + stride_ - 3;
-  return meta[1] >= -1 &&
-         meta[1] < static_cast<std::int32_t>(fit_widths_.size()) &&
-         meta[2] >= -1 &&
-         meta[2] < static_cast<std::int32_t>(const_values_.size());
 }
 
 int TargetTables::intern_row_locked(const std::int32_t* row) const {
@@ -507,14 +490,6 @@ int TargetTables::const_leaf_state(std::int64_t value) const {
   return id;
 }
 
-const TargetTables::Transition& TargetTables::insert_transition_locked(
-    TransKey key, Transition t) const {
-  t.id = static_cast<int>(trans_by_id_.size());
-  auto [it, inserted] = trans_.emplace(std::move(key), t);
-  if (inserted) trans_by_id_.push_back(&*it);
-  return it->second;
-}
-
 TargetTables::Transition TargetTables::transition(
     TermId term, const std::vector<int>& children) const {
   TransKeyView view{term, &children};
@@ -526,15 +501,9 @@ TargetTables::Transition TargetTables::transition(
   std::unique_lock lock(mu_);
   auto it = trans_.find(view);
   if (it != trans_.end()) return it->second;
-  return insert_transition_locked(TransKey{term, children},
-                                  compute_transition_locked(term, children));
-}
-
-const std::vector<int>& TargetTables::constrained_rules_of(TermId t) const {
-  static const std::vector<int> kEmpty;
-  if (t < 0 || static_cast<std::size_t>(t) >= constrained_by_terminal_.size())
-    return kEmpty;
-  return constrained_by_terminal_[static_cast<std::size_t>(t)];
+  Transition t = compute_transition_locked(term, children);
+  t.id = static_cast<int>(trans_.size());
+  return trans_.emplace(TransKey{term, children}, t).first->second;
 }
 
 bool TargetTables::ConstrainedPrecheck::check(
@@ -601,22 +570,6 @@ int TargetTables::intern_state(const StateData& s) const {
   return intern_row_locked(row.data());
 }
 
-StateData TargetTables::state(int id) const {
-  std::shared_lock lock(mu_);
-  const std::int32_t* row = state_row_locked(id);
-  const std::size_t nts = static_cast<std::size_t>(nt_count_);
-  const std::size_t subs = subpatterns_.size();
-  StateData s;
-  s.cost.assign(row, row + nts);
-  s.rule.assign(row + nts, row + 2 * nts);
-  s.sub.assign(row + 2 * nts, row + 2 * nts + subs);
-  const std::int32_t* meta = row + stride_ - 3;
-  s.is_const_leaf = meta[0] != 0;
-  s.fit_width_index = meta[1];
-  s.const_class = meta[2];
-  return s;
-}
-
 StateView TargetTables::state_view(int id) const {
   std::shared_lock lock(mu_);
   return view_of_row(state_row_locked(id));
@@ -626,17 +579,6 @@ bool TargetTables::terminal_has_constrained(TermId t) const {
   return t >= 0 &&
          static_cast<std::size_t>(t) < terminal_constrained_.size() &&
          terminal_constrained_[static_cast<std::size_t>(t)];
-}
-
-bool TargetTables::rule_is_constrained(int rule_id) const {
-  return rule_id >= 0 &&
-         static_cast<std::size_t>(rule_id) < constrained_rule_.size() &&
-         constrained_rule_[static_cast<std::size_t>(rule_id)];
-}
-
-int TargetTables::subpattern_index(const PatNode* p) const {
-  auto it = sub_index_.find(p);
-  return it == sub_index_.end() ? -1 : it->second;
 }
 
 const std::vector<int>& TargetTables::subpatterns_of_terminal(
@@ -657,119 +599,10 @@ TableStats TargetTables::stats() const {
   s.states = static_cast<std::size_t>(state_count_);
   s.transitions = trans_.size();
   s.subpatterns = subpatterns_.size();
-  std::size_t constrained = 0;
-  for (bool b : constrained_rule_)
-    if (b) ++constrained;
-  s.constrained_rules = constrained;
-  s.table_rules = constrained_rule_.size() - constrained;
+  s.constrained_rules = constrained_count_;
+  s.table_rules = rule_count_ - constrained_count_;
   s.const_classes = const_state_by_pair_.size();
   return s;
-}
-
-// --- persistence ------------------------------------------------------------
-
-namespace {
-// "BTR5": interned states, transitions in id order, #const leaf classes
-// (BTR4 also carried an eager-closure flag). Blobs with an earlier magic
-// read as malformed.
-constexpr std::uint32_t kTablesMagic = 0x42545235;
-}  // namespace
-
-void TargetTables::serialize(std::string& out) const {
-  std::shared_lock lock(mu_);
-  ByteWriter w;
-  w.u32(kTablesMagic);
-  w.u64(fingerprint_);
-  w.u32(static_cast<std::uint32_t>(nt_count_));
-  w.u32(static_cast<std::uint32_t>(subpatterns_.size()));
-  w.u32(static_cast<std::uint32_t>(state_count_));
-  const std::size_t payload =
-      static_cast<std::size_t>(stride_) - 3;  // cost + rule + sub
-  for (int id = 0; id < state_count_; ++id) {
-    const std::int32_t* row = state_row_locked(id);
-    for (std::size_t i = 0; i < payload; ++i) w.i32(row[i]);
-    const std::int32_t* meta = row + stride_ - 3;
-    w.u8(meta[0] != 0 ? 1 : 0);
-    w.i32(meta[1]);
-    w.i32(meta[2]);
-  }
-  // Id order: deserialize() re-inserts in blob order, which hands out the
-  // same dense ids again.
-  w.u32(static_cast<std::uint32_t>(trans_by_id_.size()));
-  for (const TransMap::value_type* e : trans_by_id_) {
-    const auto& [key, t] = *e;
-    w.i32(key.term);
-    w.u32(static_cast<std::uint32_t>(key.children.size()));
-    for (int c : key.children) w.i32(c);
-    w.i32(t.state);
-    w.i32(t.delta);
-  }
-  w.u32(static_cast<std::uint32_t>(const_state_by_pair_.size()));
-  for (const auto& [key, sid] : const_state_by_pair_) {
-    w.i64(key);
-    w.i32(sid);
-  }
-  w.append_to(out);
-}
-
-std::unique_ptr<TargetTables> TargetTables::deserialize(
-    const grammar::TreeGrammar& g, std::string_view blob,
-    std::size_t& offset) {
-  auto tables = std::make_unique<TargetTables>(g);
-
-  ByteReader r(blob, offset);
-  if (r.u32() != kTablesMagic) return nullptr;
-  if (r.u64() != tables->fingerprint_) return nullptr;
-  if (r.u32() != static_cast<std::uint32_t>(tables->nt_count_)) return nullptr;
-  if (r.u32() != static_cast<std::uint32_t>(tables->subpatterns_.size()))
-    return nullptr;
-  std::uint32_t n_states = r.u32();
-  if (n_states > 1u << 22) return nullptr;
-  const std::size_t payload =
-      static_cast<std::size_t>(tables->stride_) - 3;
-  std::vector<std::int32_t> row(static_cast<std::size_t>(tables->stride_));
-  for (std::uint32_t i = 0; i < n_states && r.ok(); ++i) {
-    for (std::size_t j = 0; j < payload; ++j) row[j] = r.i32();
-    row[payload] = r.u8() != 0 ? 1 : 0;
-    row[payload + 1] = r.i32();
-    row[payload + 2] = r.i32();
-    if (!r.ok() || !tables->row_in_bounds(row.data())) return nullptr;
-    if (tables->intern_row_locked(row.data()) != static_cast<int>(i))
-      return nullptr;  // duplicate or reordered states: corrupt blob
-  }
-  const std::size_t terms = tables->rules_by_terminal_.size();
-  std::uint32_t n_trans = r.u32();
-  if (n_trans > 1u << 24) return nullptr;
-  for (std::uint32_t i = 0; i < n_trans && r.ok(); ++i) {
-    TransKey key;
-    key.term = r.i32();
-    std::uint32_t k = r.u32();
-    if (key.term < 0 || static_cast<std::size_t>(key.term) >= terms || k > 64)
-      return nullptr;
-    key.children.resize(k);
-    for (std::uint32_t j = 0; j < k; ++j) key.children[j] = r.i32();
-    Transition t;
-    t.state = r.i32();
-    t.delta = r.i32();
-    if (!r.ok() || t.state < 0 || t.state >= tables->state_count_)
-      return nullptr;
-    for (int c : key.children)
-      if (c < 0 || c >= tables->state_count_) return nullptr;
-    if (tables->insert_transition_locked(std::move(key), t).id !=
-        static_cast<int>(i))
-      return nullptr;  // duplicate transition: corrupt blob
-  }
-  std::uint32_t n_const = r.u32();
-  if (n_const > 1u << 22) return nullptr;
-  for (std::uint32_t i = 0; i < n_const && r.ok(); ++i) {
-    std::int64_t key = r.i64();
-    int sid = r.i32();
-    if (sid < 0 || sid >= tables->state_count_) return nullptr;
-    tables->const_state_by_pair_.emplace(key, sid);
-  }
-  if (!r.ok()) return nullptr;
-  offset = r.pos();
-  return tables;
 }
 
 }  // namespace record::burstab

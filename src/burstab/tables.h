@@ -19,8 +19,9 @@
 // lookup (operator, child states) -> (state, cost delta). Construction only
 // compiles the grammar into rule plans; states and transitions are computed
 // on first use during labelling and memoised (thread-safe), so the tables
-// hold exactly what the labelled subjects reached. The memoised entries are
-// serialisable with their ids.
+// hold exactly what the labelled subjects reached. They live as long as the
+// tables object: nothing is persisted, so a cache-loaded target starts with
+// empty tables exactly like a cold one.
 //
 // The storage layout is private to tables.cpp:
 //
@@ -31,9 +32,9 @@
 //    contiguous row instead of chasing three vectors.
 //
 //  * Transitions live in one hash map keyed by (operator, child states).
-//    Each entry carries a dense id assigned at insertion; serialize() writes
-//    transitions in id order, so a warm reload keeps every id. Coverage maps
-//    index transitions by these ids.
+//    Each entry carries a dense id assigned at insertion (the map's size at
+//    that moment). Ids are private to one tables instance; coverage maps
+//    index transitions by them.
 //
 // Rules carrying side-constraints that a finite state cannot encode — two
 // Imm leaves drawing the same instruction field, or two leaves of one
@@ -70,8 +71,8 @@ struct TableStats {
   std::size_t const_classes = 0;      // distinct #const leaf behaviours seen
 };
 
-/// Materialised state signature (construction, serialization and the
-/// fallback re-intern path; the hot path reads flat rows via StateView).
+/// Materialised state signature (the fallback re-intern path; the hot path
+/// reads flat rows via StateView).
 struct StateData {
   std::vector<int> cost;  // per non-terminal; kInf = not derivable
   std::vector<int> rule;  // winning rule id per non-terminal; -1 = none
@@ -100,7 +101,7 @@ class TargetTables {
   struct Transition {
     int state = -1;
     int delta = 0;  // node cost base = sum of child bases + delta
-    /// Dense insertion-order id, stable across serialize/deserialize: the
+    /// Dense insertion-order id within this tables instance: the
     /// coverage-map index of this transition.
     int id = -1;
   };
@@ -130,9 +131,6 @@ class TargetTables {
   /// under concurrent parsing).
   [[nodiscard]] int intern_state(const StateData& s) const;
 
-  /// Snapshot of a state's signature, by value (tests, serialization).
-  [[nodiscard]] StateData state(int id) const;
-
   /// View of a state's flat row. Takes the shared lock to resolve the row,
   /// but the returned pointers stay valid lock-free afterwards (rows are
   /// immutable and never move).
@@ -141,14 +139,6 @@ class TargetTables {
   /// True if some rule rooted at this terminal carries a side-constraint
   /// (such nodes must be labelled through the fallback matcher).
   [[nodiscard]] bool terminal_has_constrained(grammar::TermId t) const;
-
-  /// True if the rule is side-constrained (excluded from the tables).
-  [[nodiscard]] bool rule_is_constrained(int rule_id) const;
-
-  /// Side-constrained rule ids rooted at `t`, in rule order (the candidates
-  /// the parser must hand to the fallback matcher at such nodes).
-  [[nodiscard]] const std::vector<int>& constrained_rules_of(
-      grammar::TermId t) const;
 
   /// One-level structural precheck of a side-constrained rule: the root
   /// arity plus the subject requirements of every non-NonTerm child
@@ -169,8 +159,8 @@ class TargetTables {
     [[nodiscard]] bool check(const treeparse::SubjectNode& node) const;
   };
 
-  /// Prechecks of the side-constrained rules rooted at `t`, in rule order
-  /// (parallel to constrained_rules_of).
+  /// Prechecks of the side-constrained rules rooted at `t` whose pattern
+  /// root is an operator, in rule order.
   [[nodiscard]] const std::vector<ConstrainedPrecheck>& constrained_prechecks_of(
       grammar::TermId t) const;
 
@@ -181,10 +171,6 @@ class TargetTables {
   /// interpreter's scan order exactly.
   void raw_candidates(grammar::TermId term, const std::vector<int>& children,
                       std::vector<int>& cost, std::vector<int>& rule) const;
-
-  /// Registered subpattern index of a Term-kind pattern position; -1 if the
-  /// position belongs to a constrained rule.
-  [[nodiscard]] int subpattern_index(const grammar::PatNode* p) const;
 
   /// All registered subpatterns rooted at `t` (for the fallback re-intern).
   [[nodiscard]] const std::vector<int>& subpatterns_of_terminal(
@@ -203,27 +189,12 @@ class TargetTables {
     return static_cast<int>(subpatterns_.size());
   }
 
-  /// FNV-1a hash of the serialised grammar; guards cache/table identity.
-  [[nodiscard]] std::uint64_t grammar_fingerprint() const {
-    return fingerprint_;
-  }
-
   [[nodiscard]] TableStats stats() const;
 
-  // --- persistence ---------------------------------------------------------
-
-  /// Appends the tables to `out` (see serialize.h for the primitive
-  /// encoding): the interned states in id order, the memoised transitions
-  /// in id order and the #const leaf classes.
-  void serialize(std::string& out) const;
-
-  /// Rebuilds tables for `g` from a blob produced by serialize(). Returns
-  /// nullptr if the blob is malformed or was built for a different grammar.
-  /// Every word that later indexes an array (rule ids, fit and const-class
-  /// indices, terminals, child and target states) is bounds-checked here.
-  [[nodiscard]] static std::unique_ptr<TargetTables> deserialize(
-      const grammar::TreeGrammar& g, std::string_view blob,
-      std::size_t& offset);
+  /// Process-unique serial of this tables instance, never reused. State and
+  /// transition ids mean something only within one instance, so a coverage
+  /// map uses this to tell the instance whose ids it counts from others.
+  [[nodiscard]] std::uint64_t instance() const { return instance_; }
 
  private:
   struct TransKey {
@@ -302,37 +273,29 @@ class TargetTables {
   [[nodiscard]] StateView view_of_row(const std::int32_t* row) const;
   [[nodiscard]] const std::int32_t* state_row_locked(int id) const;
   void fill_row_from_state(const StateData& s, std::int32_t* row) const;
-  /// True if every index-bearing word of a signature row is in range (rule
-  /// ids, fit-width index, const-class index), so a corrupt blob cannot
-  /// steer reads out of those arrays.
-  [[nodiscard]] bool row_in_bounds(const std::int32_t* row) const;
 
   /// Match cost of pattern child `p` against child state row `s`;
   /// kInf = fail.
   [[nodiscard]] int rel_match_locked(const grammar::PatNode& p,
                                      const std::int32_t* s) const;
   [[nodiscard]] int intern_row_locked(const std::int32_t* row) const;
-  /// Memoises `t` under `key` with the next dense id and returns the
-  /// stored entry (the existing one, unchanged, if `key` is present).
-  const Transition& insert_transition_locked(TransKey key,
-                                             Transition t) const;
   [[nodiscard]] Transition compute_transition_locked(
       grammar::TermId term, const std::vector<int>& children) const;
   [[nodiscard]] int compute_const_state_locked(int fit_index,
                                                int const_class) const;
 
   // --- immutable after construction ---------------------------------------
+  std::uint64_t instance_ = 0;
   int nt_count_ = 0;
   int stride_ = 0;  // ints per state row: 2 * nts + subpatterns + 3 meta
   grammar::TermId const_term_ = -1;
-  std::uint64_t fingerprint_ = 0;
   std::vector<std::vector<RulePlan>> rules_by_terminal_;   // [term]
-  std::vector<std::vector<int>> constrained_by_terminal_;  // [term] rule ids
   std::vector<std::vector<ConstrainedPrecheck>>
       constrained_precheck_;                               // [term]
   std::vector<std::vector<RulePlan>> const_root_rules_;    // size 1: #const
   std::vector<std::vector<ChainPlan>> chains_from_;        // [nt]
-  std::vector<bool> constrained_rule_;                     // [rule id]
+  std::size_t rule_count_ = 0;
+  std::size_t constrained_count_ = 0;  // side-constrained rules
   std::vector<bool> terminal_constrained_;                 // [term]
   std::vector<const grammar::PatNode*> subpatterns_;
   std::unordered_map<const grammar::PatNode*, int> sub_index_;
@@ -350,9 +313,6 @@ class TargetTables {
   mutable int state_count_ = 0;
   mutable std::unordered_map<RowKey, int, RowHash, RowEq> state_index_;
   mutable TransMap trans_;
-  /// trans_ entries by id. Map nodes never move, so the pointers survive
-  /// rehashing; serialize() walks this to keep ids stable.
-  mutable std::vector<const TransMap::value_type*> trans_by_id_;
   mutable std::unordered_map<std::int64_t, int> const_state_by_pair_;
   mutable std::vector<std::int32_t> scratch_row_;  // intern staging, under mu_
 };

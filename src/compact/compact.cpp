@@ -269,7 +269,6 @@ class Compactor {
   /// it the encoder's any_sat could pick instruction bits that only decode
   /// correctly under a mode the machine is not in.
   void handle_modes(Word& w, CompactedRegion& out, CompactResult& result) {
-    if (!options_.handle_modes) return;
     bdd::BddManager& mgr = *base_.mgr;
     std::map<std::string, std::map<int, bool>> needed;  // inst -> bit -> val
     for (const auto& [var, val] : required_modes(mgr, base_.vars, w.cond)) {

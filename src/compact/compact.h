@@ -28,8 +28,6 @@ struct CompactOptions {
   /// Disabled by the compaction-ablation benchmark: every RT becomes its own
   /// instruction word.
   bool enabled = true;
-  /// Track mode-register state and insert mode-set instructions.
-  bool handle_modes = true;
 };
 
 /// One horizontal instruction word. A word with no RTs is a NOP inserted to

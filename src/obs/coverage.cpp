@@ -77,6 +77,7 @@ CoverageSnapshot coverage_diff(const CoverageSnapshot& before,
   };
   sub1(d.counts.state_overflow, before.counts.state_overflow);
   sub1(d.counts.transition_overflow, before.counts.transition_overflow);
+  sub1(d.counts.foreign_ids, before.counts.foreign_ids);
   sub1(d.counts.cold_transitions, before.counts.cold_transitions);
   return d;
 }
@@ -98,6 +99,7 @@ void coverage_merge(CoverageSnapshot& into, const CoverageSnapshot& from) {
     into.counts.variants[i] += from.counts.variants[i];
   into.counts.state_overflow += from.counts.state_overflow;
   into.counts.transition_overflow += from.counts.transition_overflow;
+  into.counts.foreign_ids += from.counts.foreign_ids;
   into.counts.cold_transitions += from.counts.cold_transitions;
 }
 
@@ -116,6 +118,13 @@ CoverageMap::CoverageMap(std::string target, Config config)
     states_.reset(new std::atomic<std::uint64_t>[states_cap_]());
   if (transitions_cap_)
     transitions_.reset(new std::atomic<std::uint64_t>[transitions_cap_]());
+}
+
+bool CoverageMap::claim_ids(std::uint64_t source) {
+  std::uint64_t owner = 0;
+  return id_source_.compare_exchange_strong(owner, source,
+                                            std::memory_order_relaxed) ||
+         owner == source;
 }
 
 CoverageDistinct CoverageMap::distinct() const {
@@ -150,6 +159,7 @@ CoverageSnapshot CoverageMap::snapshot() const {
   s.counts.state_overflow = state_overflow_.load(std::memory_order_relaxed);
   s.counts.transition_overflow =
       transition_overflow_.load(std::memory_order_relaxed);
+  s.counts.foreign_ids = foreign_ids_.load(std::memory_order_relaxed);
   s.counts.cold_transitions =
       cold_transitions_.load(std::memory_order_relaxed);
   return s;
@@ -275,6 +285,11 @@ std::string coverage_report_text(const CoverageSnapshot& s) {
     out += std::to_string(s.counts.state_overflow);
     out += ", transitions ";
     out += std::to_string(s.counts.transition_overflow);
+    out += '\n';
+  }
+  if (s.counts.foreign_ids) {
+    out += "  ids from other tables instances: ";
+    out += std::to_string(s.counts.foreign_ids);
     out += '\n';
   }
   const std::vector<int> uncovered = s.uncovered_rules();

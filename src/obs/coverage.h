@@ -6,7 +6,7 @@
 //     non-terminal at some node, whether or not the derivation uses it),
 //   * grammar rules CHOSEN in optimal derivations (what selection trusts),
 //   * interned BURS states assigned to subject nodes, and
-//   * BURS table transitions looked up, by their stable transition id,
+//   * BURS table transitions looked up, by their transition id,
 // plus variant counters for the rarely-taken compile-stage paths (spill
 // parks, caller saves, guard wraps, compaction merges, mode-set insertion,
 // promoted-precision retries) and overflow/cold counters so nothing is
@@ -27,7 +27,10 @@
 // State and transition ids are handed out in first-use order per
 // TargetTables instance: the tables fill on demand as subjects are labelled,
 // so these two dimensions have no fixed denominator, and ids from two
-// instances of one target's tables need not name the same entry.
+// instances of one target's tables need not name the same entry. A map
+// therefore counts ids from ONE instance, the first to claim it
+// (claim_ids); a parser over any other instance records its ids as
+// `foreign_ids` instead, next to the overflow counters.
 //
 // Snapshots are plain-value CoverageSnapshot structs supporting diff (what
 // did THIS input add), merge (fold a worker's map into a campaign total) and
@@ -69,6 +72,7 @@ struct CoverageCounts {
   std::array<std::uint64_t, kCoverageVariantCount> variants{};
   std::uint64_t state_overflow = 0;       // state id beyond map capacity
   std::uint64_t transition_overflow = 0;  // id beyond map capacity
+  std::uint64_t foreign_ids = 0;  // state/transition ids of another instance
   std::uint64_t cold_transitions = 0;     // merges, #const leaves (no id)
 };
 
@@ -131,6 +135,12 @@ class CoverageMap {
 
   [[nodiscard]] const std::string& target() const { return target_; }
 
+  /// Claims the state and transition dimensions for the id source `source`
+  /// (a TargetTables instance serial, nonzero). The first claim wins; true
+  /// iff `source` owns them. Callers decide once per attach and send the
+  /// ids of a non-owning source to record_foreign_id().
+  bool claim_ids(std::uint64_t source);
+
 #ifndef RECORD_OBS_DISABLE
   void record_rule_matched(int id) {
     hit(rules_matched_.get(), rules_cap_, id, distinct_rules_matched_,
@@ -150,6 +160,9 @@ class CoverageMap {
   void record_cold_transition() {
     cold_transitions_.fetch_add(1, std::memory_order_relaxed);
   }
+  void record_foreign_id() {
+    foreign_ids_.fetch_add(1, std::memory_order_relaxed);
+  }
   void record_variant(CoverageVariant v, std::uint64_t n = 1) {
     if (n) variants_[static_cast<std::size_t>(v)].fetch_add(
         n, std::memory_order_relaxed);
@@ -160,6 +173,7 @@ class CoverageMap {
   void record_state(int) {}
   void record_transition(int) {}
   void record_cold_transition() {}
+  void record_foreign_id() {}
   void record_variant(CoverageVariant, std::uint64_t = 1) {}
 #endif
 
@@ -193,6 +207,8 @@ class CoverageMap {
   std::atomic<std::uint64_t> rule_overflow_{0};
   std::atomic<std::uint64_t> state_overflow_{0};
   std::atomic<std::uint64_t> transition_overflow_{0};
+  std::atomic<std::uint64_t> foreign_ids_{0};
+  std::atomic<std::uint64_t> id_source_{0};  // claim_ids owner; 0 = none
   std::atomic<std::uint64_t> cold_transitions_{0};
   std::atomic<std::uint64_t> distinct_rules_matched_{0};
   std::atomic<std::uint64_t> distinct_rules_chosen_{0};

@@ -590,55 +590,6 @@ TEST(BurstabSerialize, VarTableMatchesManagerColdAndLoaded) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(BurstabSerialize, TablesRoundTrip) {
-  PlainFixture f;
-  TargetTables tables(f.g);
-  // Warm the tables on a corpus, then serialise.
-  RandomTreeGen gen(f.g, 5);
-  for (int i = 0; i < 50; ++i) {
-    SubjectTree t = gen.make_assign(3);
-    TableParser p(f.g, tables);
-    (void)p.label(t);
-  }
-  std::string blob;
-  tables.serialize(blob);
-  std::size_t offset = 0;
-  std::unique_ptr<TargetTables> loaded =
-      TargetTables::deserialize(f.g, blob, offset);
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(offset, blob.size());
-  EXPECT_EQ(loaded->stats().states, tables.stats().states);
-  EXPECT_EQ(loaded->stats().transitions, tables.stats().transitions);
-  // Loaded tables parse identically.
-  RandomTreeGen gen2(f.g, 5);
-  for (int i = 0; i < 50; ++i) {
-    SubjectTree t = gen2.make_assign(3);
-    TableParser a(f.g, tables), b(f.g, *loaded);
-    LabelResult ra = a.label(t), rb = b.label(t);
-    EXPECT_EQ(ra.ok, rb.ok);
-    EXPECT_EQ(ra.root_cost, rb.root_cost);
-  }
-  // Transitions travel under their ids: the same corpus hits the same ids,
-  // hit for hit, on both sides.
-  auto coverage_of = [&f](const TargetTables& t) {
-    obs::CoverageMap::Config cc;
-    cc.rules = f.g.rules().size();
-    cc.states = 4096;
-    cc.transitions = 4096;
-    obs::CoverageMap map("roundtrip", std::move(cc));
-    TableParser p(f.g, t);
-    p.set_coverage(&map);
-    RandomTreeGen replay(f.g, 5);
-    for (int i = 0; i < 50; ++i) (void)p.label(replay.make_assign(3));
-    return map.snapshot();
-  };
-  const obs::CoverageSnapshot before = coverage_of(tables);
-  const obs::CoverageSnapshot after = coverage_of(*loaded);
-  EXPECT_GT(before.transitions_covered(), 0u);
-  EXPECT_EQ(before.counts.transitions, after.counts.transitions);
-  EXPECT_EQ(loaded->stats().transitions, tables.stats().transitions);
-}
-
 TEST(BurstabCoverage, RelabellingKeepsDistinctTransitions) {
   // Transition ids are handed out once, at insertion, and never renumbered:
   // labelling a corpus a second time may only hit ids already seen.
@@ -669,14 +620,48 @@ TEST(BurstabCoverage, RelabellingKeepsDistinctTransitions) {
   EXPECT_EQ(tables.stats().transitions, first.transitions_covered());
 }
 
-TEST(BurstabSerialize, TablesRejectForeignGrammar) {
+TEST(BurstabCoverage, MapCountsIdsOfTheFirstTablesInstanceOnly) {
+  // Two tables instances of one grammar number their transitions in their
+  // own first-use order, so one map must not mix their ids: it counts the
+  // first instance that records into it, and the other's ids land in the
+  // foreign-id counter.
   PlainFixture f;
-  ConstrainedFixture f2;
-  TargetTables tables(f.g);
-  std::string blob;
-  tables.serialize(blob);
-  std::size_t offset = 0;
-  EXPECT_EQ(TargetTables::deserialize(f2.g, blob, offset), nullptr);
+  TargetTables first(f.g), second(f.g);
+  ASSERT_NE(first.instance(), second.instance());
+  obs::CoverageMap::Config cc;
+  cc.rules = f.g.rules().size();
+  cc.states = 4096;
+  cc.transitions = 4096;
+  obs::CoverageMap map("two-instances", std::move(cc));
+  auto label_corpus = [&f, &map](const TargetTables& t, unsigned seed) {
+    TableParser parser(f.g, t);
+    parser.set_coverage(&map);
+    RandomTreeGen gen(f.g, seed);
+    for (int i = 0; i < 100; ++i) (void)parser.label(gen.make_assign(3));
+  };
+
+  label_corpus(first, 11);
+  const obs::CoverageSnapshot one = map.snapshot();
+  ASSERT_GT(one.transitions_covered(), 0u);
+  EXPECT_EQ(one.counts.foreign_ids, 0u);
+
+  label_corpus(second, 12);
+  label_corpus(first, 11);  // the owner may attach again
+  const obs::CoverageSnapshot both = map.snapshot();
+  ASSERT_GT(second.stats().transitions, 0u);
+  EXPECT_EQ(both.transitions_covered(), first.stats().transitions);
+  EXPECT_EQ(both.states_covered(), one.states_covered());
+  EXPECT_GT(both.counts.foreign_ids, 0u);
+  EXPECT_EQ(both.counts.transition_overflow, 0u);
+  // Rules are the grammar's, not the instance's: both corpora count.
+  EXPECT_GE(both.rules_matched_covered(), one.rules_matched_covered());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return std::move(buf).str();
 }
 
 TEST(BurstabCache, WarmLoadServesIdenticalTarget) {
@@ -696,6 +681,9 @@ TEST(BurstabCache, WarmLoadServesIdenticalTarget) {
   ASSERT_TRUE(warm) << diags.str();
   EXPECT_TRUE(warm->cache_hit);
   ASSERT_NE(warm->tables, nullptr);
+  // Tables are not stored: a warm hit starts them empty, like a cold build.
+  EXPECT_EQ(warm->tables->stats().states, 0u);
+  EXPECT_EQ(warm->tables->stats().transitions, 0u);
   EXPECT_EQ(warm->processor, cold->processor);
   EXPECT_EQ(warm->base->templates.size(), cold->base->templates.size());
   EXPECT_EQ(grammar_fingerprint(warm->tree_grammar),
@@ -729,6 +717,27 @@ TEST(BurstabCache, WarmLoadServesIdenticalTarget) {
   EXPECT_EQ(warm->tables->stats().states, cold->tables->stats().states);
   EXPECT_EQ(warm->tables->stats().transitions,
             cold->tables->stats().transitions);
+
+  // Storing the filled tables writes the bytes a store of fresh ones does.
+  const std::uint64_t key = TargetCache::key_of(
+      models::model_source("manocpu"), core::options_digest(options));
+  const TargetCache cache(dir);
+  const TargetTables fresh(warm->tree_grammar);
+  auto stored_bytes = [&](const TargetTables& tables) {
+    TargetArtifactsView view;
+    view.processor = &warm->processor;
+    view.base = warm->base.get();
+    view.grammar = &warm->tree_grammar;
+    view.tables = &tables;
+    view.extract_stats = &warm->extract_stats;
+    view.extend_stats = &warm->extend_stats;
+    view.grammar_stats = &warm->grammar_stats;
+    EXPECT_TRUE(cache.store(key, view));
+    return read_file(cache.entry_path(key));
+  };
+  const std::string filled_bytes = stored_bytes(*warm->tables);
+  EXPECT_EQ(filled_bytes, stored_bytes(fresh));
+  EXPECT_FALSE(filled_bytes.empty());
 
   // Options that shape the artifacts key separately.
   core::RetargetOptions other = options;
@@ -781,7 +790,7 @@ TEST(BurstabCache, CorruptBlobFallsBackToCleanRebuild) {
               grammar_fingerprint(cold->tree_grammar)) << what;
   };
 
-  // Truncations at several depths, including inside the tables section.
+  // Truncations at several depths, down to the last byte.
   for (std::size_t keep : {std::size_t{0}, std::size_t{10}, blob.size() / 4,
                            blob.size() / 2, blob.size() - 1}) {
     write_blob(blob.substr(0, keep));
@@ -825,13 +834,6 @@ std::string listing_of(const core::RetargetResult& t, const ir::Program& p,
   return res ? res->listing() : std::string();
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return std::move(buf).str();
-}
-
 void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -841,81 +843,6 @@ void put_le(std::string& bytes, std::size_t at, std::uint64_t v, int width) {
   for (int i = 0; i < width; ++i)
     bytes[at + static_cast<std::size_t>(i)] =
         static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-TEST(BurstabCache, OutOfRangeFitIndexIsRejectedAndRebuilds) {
-  // A tables section whose first state row names fit width 99, under a
-  // recomputed (valid) checksum: the checksum proves the bytes arrived
-  // intact, not that the writer was sane, so the reader's own bounds must
-  // turn this into a rejected miss instead of an out-of-bounds read.
-  std::string dir =
-      (std::filesystem::temp_directory_path() / "record-cache-badfit")
-          .string();
-  std::filesystem::remove_all(dir);
-
-  util::DiagnosticSink diags;
-  core::RetargetOptions options;
-  options.use_target_cache = true;
-  options.cache_dir = dir;
-  auto cold = core::Record::retarget_model("manocpu", options, diags);
-  ASSERT_TRUE(cold) << diags.str();
-  ASSERT_TRUE(cold->tables);
-
-  std::uint64_t key = TargetCache::key_of(
-      models::model_source("manocpu"), core::options_digest(options));
-  const std::string path = TargetCache(dir).entry_path(key);
-  const std::string blob = read_file(path);
-
-  // The tables section is the tail of the entry: exactly what serialising
-  // the cold tables produces before any labelling grows them.
-  std::string stored_tables;
-  cold->tables->serialize(stored_tables);
-  ASSERT_GT(blob.size(), stored_tables.size() + 24);
-  const std::size_t tables_at = blob.size() - stored_tables.size();
-  ASSERT_EQ(blob.substr(tables_at), stored_tables);
-  const ir::Program prog = degradation_probe();
-  const std::string reference = listing_of(*cold, prog, cold->tables.get());
-  // Labelling filled the tables: splice their serialisation in as the
-  // entry's tables section, so there is a state row to corrupt. Header:
-  // magic u32, version u32, key u64, payload checksum u64. The splice alone
-  // is a well-formed entry.
-  std::string tables_blob;
-  cold->tables->serialize(tables_blob);
-  std::string bad = blob.substr(0, tables_at) + tables_blob;
-  put_le(bad, 16, fnv1a(std::string_view(bad).substr(24)), 8);
-  write_file(path, bad);
-  ASSERT_TRUE(TargetCache(dir).load(key));
-  // Section header: magic u32, fingerprint u64, nts u32, subpatterns u32,
-  // state count u32. A row is (2 * nts + subpatterns) i32s, the const-leaf
-  // flag u8, then the fit index i32.
-  ByteReader r(tables_blob);
-  (void)r.u32();
-  (void)r.u64();
-  const std::size_t nts = r.u32();
-  const std::size_t subs = r.u32();
-  ASSERT_GT(r.u32(), 0u);
-  ASSERT_TRUE(r.ok());
-  const std::size_t fit_at = tables_at + r.pos() + (2 * nts + subs) * 4 + 1;
-  put_le(bad, fit_at, 99, 4);
-  put_le(bad, 16, fnv1a(std::string_view(bad).substr(24)), 8);
-  write_file(path, bad);
-
-  const std::uint64_t rejected_before =
-      obs::metrics().counter("burstab.cache.rejected").value();
-  EXPECT_FALSE(TargetCache(dir).load(key));
-  EXPECT_EQ(obs::metrics().counter("burstab.cache.rejected").value(),
-            rejected_before + 1);
-
-  util::DiagnosticSink d;
-  auto rebuilt = core::Record::retarget_model("manocpu", options, d);
-  ASSERT_TRUE(rebuilt) << d.str();
-  EXPECT_FALSE(rebuilt->cache_hit);
-  ASSERT_TRUE(rebuilt->tables);
-  EXPECT_EQ(listing_of(*rebuilt, prog, rebuilt->tables.get()), reference);
-  // The rebuild re-stored the entry bit for bit.
-  EXPECT_EQ(read_file(path), blob);
-
-  std::filesystem::remove_all(dir);
 }
 
 // Replaces the first length-prefixed occurrence of `from` in a cache blob by
@@ -1095,7 +1022,8 @@ TEST(BurstabCache, OldVersionBlobRebuildsCleanly) {
   // Stale entries must read as a miss — the version word gates the whole
   // payload — and the pipeline must rebuild and re-store a current-version
   // entry. Two inputs: the current entry with its version word patched down
-  // to 2, and a real v6 entry (frozen-pool tables section) for the duo
+  // to 8 (the format that still carried a tables section), and a real v6
+  // entry (frozen-pool tables section) for the duo
   // machine, checked in under tests/data.
   std::string dir =
       (std::filesystem::temp_directory_path() / "record-cache-oldver")
@@ -1118,11 +1046,12 @@ TEST(BurstabCache, OldVersionBlobRebuildsCleanly) {
   std::string blob = std::move(buf).str();
   in.close();
 
-  // Patch the version word (bytes 4..8, little endian) down to 2. The
+  // Patch the version word (bytes 4..8, little endian) down to 8. The
   // checksum that follows only covers the payload, so the blob is
   // otherwise pristine — exactly what a stale on-disk entry looks like.
   ASSERT_GE(blob.size(), 8u);
-  blob[4] = 2;
+  ASSERT_EQ(blob[4], 9);
+  blob[4] = 8;
   blob[5] = blob[6] = blob[7] = 0;
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);

@@ -393,12 +393,23 @@ TEST(CoverageTest, DiffSubtractsAndMergeAccumulates) {
   map.record_rule_chosen(0);
   map.record_rule_chosen(1);
   map.record_state(2);
+  // The first id source to claim the map owns it; any other is foreign.
+  EXPECT_TRUE(map.claim_ids(7));
+  EXPECT_FALSE(map.claim_ids(8));
+  EXPECT_TRUE(map.claim_ids(7));
+  map.record_foreign_id();
+  map.record_foreign_id();
   CoverageSnapshot after = map.snapshot();
+  EXPECT_EQ(after.counts.foreign_ids, 2u);
+  EXPECT_NE(coverage_report_text(after).find(
+                "ids from other tables instances: 2"),
+            std::string::npos);
 
   CoverageSnapshot delta = coverage_diff(before, after);
   EXPECT_EQ(delta.counts.rules_chosen[0], 1u);
   EXPECT_EQ(delta.counts.rules_chosen[1], 1u);
   EXPECT_EQ(delta.counts.states[2], 1u);
+  EXPECT_EQ(delta.counts.foreign_ids, 2u);
   EXPECT_EQ(delta.rules_chosen_covered(), 2u);
 
   // Merging the delta back onto `before` reproduces `after`'s counts.
@@ -406,6 +417,7 @@ TEST(CoverageTest, DiffSubtractsAndMergeAccumulates) {
   coverage_merge(total, delta);
   EXPECT_EQ(total.counts.rules_chosen, after.counts.rules_chosen);
   EXPECT_EQ(total.counts.states, after.counts.states);
+  EXPECT_EQ(total.counts.foreign_ids, after.counts.foreign_ids);
   EXPECT_EQ(total.rules_total, 4u);
 }
 

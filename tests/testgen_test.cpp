@@ -183,9 +183,8 @@ TEST(Oracle, SmokeCorpusAllPathsAgree) {
 
 TEST(Oracle, TableEngineReplaysSeeds0To50) {
   // Regression net for the table engine: replaying the generative corpus
-  // pins TreeParser vs TableParser vs the warm TargetCache reload (tables
-  // deserialised with their transition ids) as bit-identical across 51
-  // machines.
+  // pins TreeParser vs TableParser vs the warm TargetCache reload (fresh
+  // tables over the reloaded grammar) as bit-identical across 51 machines.
   int compiled = 0;
   for (std::uint64_t seed = 0; seed <= 50; ++seed) {
     GeneratedModel m = generate_model(seed);
