@@ -5,7 +5,6 @@
 #include <map>
 #include <set>
 
-#include "sim/value.h"
 #include "util/strings.h"
 
 namespace record::compact {
@@ -18,23 +17,27 @@ std::size_t CompactedProgram::word_count() const {
   return n;
 }
 
-namespace {
-
-/// Required mode-register literals of a condition: mode variables whose
-/// phase is forced (cond implies var=b).
-std::vector<std::pair<int, bool>> required_modes(bdd::BddManager& mgr,
-                                                 const rtl::VarTable& vars,
-                                                 bdd::Ref cond) {
-  std::vector<std::pair<int, bool>> out;
-  for (int v : mgr.support(cond)) {
-    if (vars[v].kind != rtl::Var::Kind::kMode) continue;
-    bool sat_pos = mgr.land(cond, mgr.var(v)) != bdd::kFalse;
-    bool sat_neg = mgr.land(cond, mgr.nvar(v)) != bdd::kFalse;
-    if (sat_pos && !sat_neg) out.emplace_back(v, true);
-    if (!sat_pos && sat_neg) out.emplace_back(v, false);
+void add_implied_literals(const select::SelectedRT& rt,
+                          const rtl::TemplateBase& base, std::uint64_t* cube) {
+  if (!rt.tmpl) return;
+  const rtl::WriteConditions& wc = base.writers;
+  const std::size_t words = wc.cube_words;
+  const std::uint64_t* own = wc.writer_cube(
+      static_cast<std::size_t>(rt.tmpl - base.templates.data()));
+  for (std::size_t i = 0; i < 2 * words; ++i) cube[i] |= own[i];
+  for (const treeparse::ImmBinding& b : rt.imms) {
+    const std::vector<int>& bits = *b.field_bits;
+    for (std::size_t j = 0; j < bits.size(); ++j) {
+      const int var = bits[j];  // I[k] is variable k
+      if (var < 0 || var >= base.instruction_width) continue;
+      const bool one = ((static_cast<std::uint64_t>(b.value) >> j) & 1u) != 0;
+      const auto k = static_cast<std::size_t>(var);
+      cube[(one ? 0 : words) + k / 64] |= std::uint64_t{1} << (k % 64);
+    }
   }
-  return out;
 }
+
+namespace {
 
 class Compactor {
  public:
@@ -48,6 +51,9 @@ class Compactor {
     for (Region& region : regions) {
       CompactedRegion out;
       out.label = region.label;
+      // A branch may enter a labelled region, so what the textually
+      // previous word left in the mode registers is not known there.
+      if (!region.label.empty()) mode_state_.clear();
       if (options_.enabled)
         schedule_region(region, out, result);
       else
@@ -107,6 +113,31 @@ class Compactor {
     std::vector<bool> scheduled(n, false);
     std::size_t remaining = n;
     int current = 0;
+    // The word's cube: the instruction-bit literals its condition implies
+    // (add_implied_literals of every RT in it). A candidate whose cube
+    // fixes a bit the other way cannot share the word: the conjunction of
+    // the two conditions is FALSE, so it is rejected without the BDD.
+    const std::size_t cube_size = 2 * base_.writers.cube_words;
+    word_cube_.resize(cube_size);
+    rt_cube_.resize(cube_size);
+    // The conjunction of the word's condition with rt's, or kFalse when
+    // the two cannot share the word; an empty word takes rt's condition.
+    auto join = [&](const Word& w, const select::SelectedRT& rt) {
+      std::fill(rt_cube_.begin(), rt_cube_.end(), 0);
+      add_implied_literals(rt, base_, rt_cube_.data());
+      if (w.rts.empty()) return rt.cond;
+      if (base_.writers.conflict(word_cube_.data(), rt_cube_.data())) {
+        ++result.stats.pairs_cube_rejected;
+        return bdd::kFalse;
+      }
+      ++result.stats.pairs_conjoined;
+      return mgr.land(w.cond, rt.cond);
+    };
+    auto add = [&](Word& w, const select::SelectedRT* rt, bdd::Ref joint) {
+      for (std::size_t k = 0; k < cube_size; ++k) word_cube_[k] |= rt_cube_[k];
+      w.rts.push_back(rt);
+      w.cond = joint;
+    };
 
     // Critical-path heights: list-scheduling priority. Deeper chains go
     // first, which lets shallow RTs (e.g. a pending accumulate) pair with
@@ -137,25 +168,24 @@ class Compactor {
 
     while (remaining > 0) {
       Word w;
+      std::fill(word_cube_.begin(), word_cube_.end(), 0);
       bool packed_any = false;
       // Non-branch candidates first, by descending critical-path height.
       for (std::size_t i : priority) {
         const select::SelectedRT* rt = region.rts[i];
         if (rt->is_branch || !ready(i)) continue;
-        bdd::Ref joint = mgr.land(w.cond, rt->cond);
+        bdd::Ref joint = join(w, *rt);
         if (joint == bdd::kFalse) {
           if (w.rts.empty()) {
             // An RT whose own condition is unsatisfiable (should not happen
             // after selection) must still be placed to guarantee progress.
             diags_.warning({}, "placing RT with unsatisfiable condition");
-            joint = rt->cond;
           } else {
             ++result.stats.pairs_rejected_encoding;
             continue;
           }
         }
-        w.rts.push_back(rt);
-        w.cond = joint;
+        add(w, rt, joint);
         place(i);
         packed_any = true;
       }
@@ -164,13 +194,12 @@ class Compactor {
         const select::SelectedRT* rt = region.rts[i];
         if (!rt->is_branch || !ready(i)) continue;
         if (remaining != 1) continue;  // other RTs still unscheduled
-        bdd::Ref joint = mgr.land(w.cond, rt->cond);
+        bdd::Ref joint = join(w, *rt);
         if (joint == bdd::kFalse) {
           ++result.stats.pairs_rejected_encoding;
           continue;
         }
-        w.rts.push_back(rt);
-        w.cond = joint;
+        add(w, rt, joint);
         w.has_branch = true;
         w.branch_target = rt->branch_target;
         place(i);
@@ -262,44 +291,70 @@ class Compactor {
     }
   }
 
-  /// Ensures the machine's mode registers satisfy the word's requirements,
-  /// inserting mode-set words as needed, then bakes the (now known) mode
-  /// state into the word condition. The baking step matters on machines
-  /// where alternative encodings are OR-merged across mode settings: without
-  /// it the encoder's any_sat could pick instruction bits that only decode
-  /// correctly under a mode the machine is not in.
+  /// True if some RT of `w` comes from a template whose condition reads a
+  /// mode bit (rtl::TemplateFacts). Otherwise the word's condition reads
+  /// none either: it is the conjunction of those conditions with
+  /// instruction-bit literals.
+  bool reads_mode(const Word& w) const {
+    for (const select::SelectedRT* rt : w.rts) {
+      if (!rt->tmpl) continue;
+      const auto t =
+          static_cast<std::size_t>(rt->tmpl - base_.templates.data());
+      if (base_.writers.facts[t].reads_mode) return true;
+    }
+    return false;
+  }
+
+  /// Makes the word run under the mode state its condition needs, then
+  /// bakes that state into the condition. Each mode bit the condition
+  /// reads keeps its known state when the condition allows it. Otherwise,
+  /// or when the state is unknown, the bit gets the value the condition
+  /// forces, or else one that keeps the condition satisfiable (0 first),
+  /// and a mode-set word before this one writes it. The baking matters on
+  /// machines where alternative encodings are OR-merged across mode
+  /// settings: without it the encoder's any_sat could pick instruction
+  /// bits that only decode correctly under a mode the machine is not in.
   void handle_modes(Word& w, CompactedRegion& out, CompactResult& result) {
+    if (!reads_mode(w)) {
+      ++result.stats.words_mode_free;
+      return;
+    }
+    ++result.stats.words_mode_checked;
     bdd::BddManager& mgr = *base_.mgr;
     std::map<std::string, std::map<int, bool>> needed;  // inst -> bit -> val
-    for (const auto& [var, val] : required_modes(mgr, base_.vars, w.cond)) {
-      auto it = mode_state_.find(var);
-      if (it != mode_state_.end() && it->second == val) continue;
-      const rtl::Var& mode = base_.vars[var];
+    bdd::Ref baked = w.cond;
+    for (int v : mgr.support(w.cond)) {
+      const rtl::Var& mode = base_.vars[v];
+      if (mode.kind != rtl::Var::Kind::kMode) continue;
+      auto it = mode_state_.find(v);
+      if (it != mode_state_.end()) {
+        const bdd::Ref kept = mgr.land(baked, mgr.literal(v, it->second));
+        if (kept != bdd::kFalse) {
+          baked = kept;
+          continue;
+        }
+      }
+      bdd::Ref set = mgr.land(baked, mgr.literal(v, false));
+      bool val = false;
+      if (set == bdd::kFalse) {
+        val = true;
+        set = mgr.land(baked, mgr.literal(v, true));
+      }
+      baked = set;
       needed[mode.inst][mode.bit] = val;
-      mode_state_[var] = val;
     }
     for (auto& [inst, bits] : needed) {
       // A synthesized set writes the WHOLE register, so every bit outside
-      // the required set must carry its current value or the write would
+      // the needed set must carry its known value or the write would
       // clobber it (needing bit 0 := 1 while bit 1 already holds 1 must
-      // write 3, not 1). Unknown bits read the deterministic reset
-      // contents both simulators use.
+      // write 3, not 1). A bit whose state is unknown is written as 0.
       const rtl::StorageInfo* s = base_.find_storage(inst);
       const int width = s ? s->width : 0;
       for (int bit = 0; bit < width; ++bit) {
         if (bits.count(bit)) continue;
-        int var = base_.vars.mode_var(inst, bit);
+        const int var = base_.vars.mode_var(inst, bit);
         auto it = var >= 0 ? mode_state_.find(var) : mode_state_.end();
-        bool val;
-        if (it != mode_state_.end()) {
-          val = it->second;
-        } else {
-          std::uint64_t reset = static_cast<std::uint64_t>(
-              sim::initial_value(inst, 0, width));
-          val = ((reset >> bit) & 1u) != 0;
-        }
-        bits[bit] = val;
-        if (var >= 0) mode_state_[var] = val;
+        bits[bit] = it != mode_state_.end() && it->second;
       }
       const select::SelectedRT* set_rt = synthesize_mode_set(inst, bits,
                                                              result);
@@ -308,38 +363,18 @@ class Compactor {
                                inst));
         continue;
       }
-      Word w;
-      w.rts.push_back(set_rt);
-      w.cond = set_rt->cond;
-      w.is_mode_set = true;
-      out.words.push_back(std::move(w));
+      for (const auto& [bit, val] : bits) {
+        const int var = base_.vars.mode_var(inst, bit);
+        if (var >= 0) mode_state_[var] = val;
+      }
+      Word set;
+      set.rts.push_back(set_rt);
+      set.cond = set_rt->cond;
+      set.is_mode_set = true;
+      out.words.push_back(std::move(set));
       ++result.stats.mode_sets_inserted;
     }
-
-    // Bake the machine's actual mode state into the word condition. Vars
-    // never set by the schedule read the deterministic reset contents the
-    // simulators also use.
-    bdd::Ref baked = w.cond;
-    for (int v : mgr.support(w.cond)) {
-      const rtl::Var& mode = base_.vars[v];
-      if (mode.kind != rtl::Var::Kind::kMode) continue;
-      auto it = mode_state_.find(v);
-      bool val;
-      if (it != mode_state_.end()) {
-        val = it->second;
-      } else {
-        const rtl::StorageInfo* s = base_.find_storage(mode.inst);
-        if (!s) continue;  // unknown mode register: leave the var free
-        std::uint64_t reset = static_cast<std::uint64_t>(
-            sim::initial_value(mode.inst, 0, s->width));
-        val = ((reset >> mode.bit) & 1u) != 0;
-        mode_state_[v] = val;
-      }
-      baked = mgr.land(baked, mgr.literal(v, val));
-    }
-    // kFalse here would mean a required mode could not be established (no
-    // set template existed — already warned above); keep the raw condition.
-    if (baked != bdd::kFalse) w.cond = baked;
+    w.cond = baked;
   }
 
   const select::SelectedRT* synthesize_mode_set(
@@ -384,7 +419,12 @@ class Compactor {
   const rtl::TemplateBase& base_;
   CompactOptions options_;
   util::DiagnosticSink& diags_;
+  /// Known mode-register bits (variable -> value) at the current word. A
+  /// bit becomes known at a mode set and stays known up to the next
+  /// labelled region.
   std::map<int, bool> mode_state_;
+  std::vector<std::uint64_t> word_cube_;  // schedule_region scratch
+  std::vector<std::uint64_t> rt_cube_;
 };
 
 }  // namespace

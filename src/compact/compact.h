@@ -6,12 +6,29 @@
 // word iff their dependence distances allow it AND the conjunction of their
 // BDD execution conditions is satisfiable (instruction-encoding
 // compatibility, including immediate-field values) AND they do not write the
-// same location. Mode-register requirements are tracked across the schedule:
-// when an RT needs mode bits different from the current machine state, a
-// mode-set instruction is inserted (selected from the target's own
-// mode-register templates).
+// same location.
+//
+// Per-target facts (rtl::WriteConditions, computed once per target) decide
+// most of this without the BDD:
+//   * cubes: a word keeps the instruction-bit literals its condition
+//     implies (add_implied_literals). A candidate whose literals fix some
+//     bit the other way is rejected without conjoining: the conjunction
+//     would be FALSE, and computing it would create no node either.
+//   * mode facts: a word none of whose templates reads a mode-register bit
+//     needs no mode handling at all, and skips the BDD walk below.
+//
+// Mode-register state is a forward dataflow fact. It is unknown at program
+// entry and at every labelled region (a branch may enter it); a mode set
+// makes bits known, and the state flows through fall-through. A word whose
+// condition needs a mode bit that is unknown, or known with the wrong
+// value, gets a mode-set word before it (synthesized from the target's own
+// mode-register templates). The set writes the whole register: bits the
+// word does not need keep their known value, or 0 when unknown. The word's
+// condition is then baked with the mode values the machine will hold. The
+// compiler never assumes reset contents.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -59,6 +76,14 @@ struct CompactStats {
   std::size_t input_rts = 0;
   std::size_t words = 0;
   std::size_t pairs_rejected_encoding = 0;  // condition conjunction UNSAT
+  /// Of pairs_rejected_encoding: rejected by conflicting cubes alone.
+  std::size_t pairs_cube_rejected = 0;
+  /// Candidate pairs the cubes left open, checked by BDD conjunction.
+  std::size_t pairs_conjoined = 0;
+  /// Words no template of which reads a mode bit: no mode handling.
+  std::size_t words_mode_free = 0;
+  /// Words whose mode bits went through the BDD (support + baking).
+  std::size_t words_mode_checked = 0;
   std::size_t mode_sets_inserted = 0;
   std::size_t multi_rt_words = 0;      // words packing >= 2 RTs
   std::size_t total_slot_rts = 0;      // sum of RTs over all words
@@ -70,6 +95,13 @@ struct CompactResult {
   CompactedProgram program;
   CompactStats stats;
 };
+
+/// ORs into `cube` the instruction-bit literals `rt`'s condition implies,
+/// in the layout of rtl::WriteConditions::cubes (cube_words positive words,
+/// then cube_words negative ones): its template's writer cube plus its
+/// immediate-field literals. A pseudo RT adds nothing.
+void add_implied_literals(const select::SelectedRT& rt,
+                          const rtl::TemplateBase& base, std::uint64_t* cube);
 
 [[nodiscard]] CompactResult compact(const select::SelectionResult& sel,
                                     const rtl::TemplateBase& base,

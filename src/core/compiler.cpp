@@ -9,7 +9,8 @@ namespace record::core {
 namespace {
 
 /// Per-compile counters, resolved once: a registry lookup takes its mutex,
-/// and every compile bumps an outcome counter and the encoder's two.
+/// and every compile bumps an outcome counter, the encoder's two and
+/// compaction's four.
 struct CompileCounters {
   obs::Counter& uncovered = obs::metrics().counter("compile.uncovered");
   obs::Counter& unrepairable_clobber =
@@ -22,6 +23,17 @@ struct CompileCounters {
       obs::metrics().counter("emit.terms_proven_noop");
   obs::Counter& terms_conjoined =
       obs::metrics().counter("emit.terms_conjoined");
+  /// What compaction's per-target facts decided: words that skipped mode
+  /// handling or went through the BDD for it, and candidate pairs rejected
+  /// by cubes or left to a BDD conjunction.
+  obs::Counter& words_mode_free =
+      obs::metrics().counter("compact.words_mode_free");
+  obs::Counter& words_mode_checked =
+      obs::metrics().counter("compact.words_mode_checked");
+  obs::Counter& pairs_cube_rejected =
+      obs::metrics().counter("compact.pairs_cube_rejected");
+  obs::Counter& pairs_conjoined =
+      obs::metrics().counter("compact.pairs_conjoined");
 };
 
 CompileCounters& counters() {
@@ -114,6 +126,11 @@ std::optional<CompileResult> Compiler::compile(
     counters().terms_proven_noop.add(es.proven_noop);
     counters().terms_conjoined.add(es.suppressed + es.unsuppressible -
                                    es.proven_noop);
+    const compact::CompactStats& cs = result.compacted.stats;
+    counters().words_mode_free.add(cs.words_mode_free);
+    counters().words_mode_checked.add(cs.words_mode_checked);
+    counters().pairs_cube_rejected.add(cs.pairs_cube_rejected);
+    counters().pairs_conjoined.add(cs.pairs_conjoined);
   }
   if (cov) {
     const sched::SpillStats& sp = result.spill_stats;

@@ -230,16 +230,22 @@ bool TemplateBase::add_unique(RTTemplate t) {
 WriteConditions write_conditions(const TemplateBase& base) {
   bdd::BddManager& mgr = *base.mgr;
   std::map<std::string, StorageWriters> by_storage;
+  WriteConditions out;
+  out.facts.resize(base.templates.size());
   for (std::size_t i = 0; i < base.templates.size(); ++i) {
     const RTTemplate& t = base.templates[i];
+    TemplateFacts& f = out.facts[i];
     bdd::Ref c = t.cond;
-    for (int v : mgr.support(c))
-      if (base.vars[v].kind != Var::Kind::kInstr) c = mgr.exists(c, v);
+    for (int v : mgr.support(t.cond)) {
+      const Var::Kind kind = base.vars[v].kind;
+      if (kind == Var::Kind::kInstr) continue;
+      (kind == Var::Kind::kMode ? f.reads_mode : f.reads_dynamic) = true;
+      c = mgr.exists(c, v);
+    }
     StorageWriters& sw = by_storage[t.dest];
     sw.any = mgr.lor(sw.any, c);
     sw.each.push_back({i, c, mgr.lnot(c)});
   }
-  WriteConditions out;
   out.storages.reserve(by_storage.size());
   for (auto& [storage, sw] : by_storage) {
     sw.storage = storage;

@@ -135,13 +135,33 @@ struct StorageWriters {
   std::vector<Writer> each;
 };
 
-/// The per-target write conditions: the writers of every storage, and the
-/// instruction-bit literals each of their conditions implies ("cubes").
+/// What a template's own condition reads, beyond instruction bits.
+struct TemplateFacts {
+  bool reads_mode = false;     // some Var::Kind::kMode variable
+  bool reads_dynamic = false;  // some variable neither kInstr nor kMode
+
+  friend bool operator==(const TemplateFacts&,
+                         const TemplateFacts&) = default;
+};
+
+/// The per-target facts about template conditions, computed once when the
+/// base is complete: the writers of every storage, the instruction-bit
+/// literals each of their conditions implies ("cubes"), and what each
+/// template's condition reads (TemplateFacts).
+///
 /// Two conditions whose cubes fix some instruction bit to opposite values
-/// are disjoint; the encoder uses that to decide most suppression terms
-/// without the BDD (emit::SuppressionTerms).
+/// are disjoint. The encoder uses that to decide most suppression terms
+/// without the BDD (emit::SuppressionTerms), and compaction to reject most
+/// incompatible RT pairs without conjoining them. A template's writer cube
+/// is also the cube of its own condition: quantifying the other variables
+/// out keeps every instruction literal the condition implies.
+///
+/// The facts let compaction skip mode handling on every word none of whose
+/// templates reads a mode bit, and let selection pick conditional and
+/// unconditional branch templates without walking their supports.
 struct WriteConditions {
   std::vector<StorageWriters> storages;  // sorted by storage name
+  std::vector<TemplateFacts> facts;      // one per template, by index
   /// 64-bit words per literal bitset: ceil(instruction_width / 64).
   std::size_t cube_words = 0;
   /// Flat cube table, one slot per condition: storages[s].any at slot s,
@@ -190,7 +210,8 @@ struct TemplateBase {
   /// Architectural branch delay slots: a write to the program counter lands
   /// this many instruction words late (HDL `DELAY n` on the PC register).
   int branch_delay_slots = 0;
-  /// Per-storage write conditions and their cubes (write_conditions).
+  /// Per-storage write conditions, their cubes and the per-template facts
+  /// (write_conditions).
   /// Derived data, filled by the last step that changes the base:
   /// extend_template_base on a cold retarget, the target cache on a load;
   /// neither is stored in the cache. The templates and their conditions

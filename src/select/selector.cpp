@@ -316,21 +316,15 @@ void CodeSelector::explain_derivation(const treeparse::Derivation& d,
 
 std::optional<SelectedRT> CodeSelector::make_branch(const ir::Stmt& stmt,
                                                     const ir::Program& prog) {
-  bdd::BddManager& mgr = *base_.mgr;
   const rtl::RTTemplate* unconditional = nullptr;
   const rtl::RTTemplate* conditional = nullptr;
-  for (const rtl::RTTemplate& t : base_.templates) {
+  for (std::size_t i = 0; i < base_.templates.size(); ++i) {
+    const rtl::RTTemplate& t = base_.templates[i];
     if (t.dest != kProgramCounter ||
         t.dest_kind != rtl::DestKind::Register)
       continue;
     if (t.value->kind != rtl::RTNode::Kind::Imm) continue;
-    bool dynamic = false;
-    for (int v : mgr.support(t.cond)) {
-      rtl::Var::Kind kind = base_.vars[v].kind;
-      if (kind != rtl::Var::Kind::kInstr && kind != rtl::Var::Kind::kMode)
-        dynamic = true;
-    }
-    if (dynamic) {
+    if (base_.writers.facts[i].reads_dynamic) {
       if (!conditional) conditional = &t;
     } else {
       if (!unconditional) unconditional = &t;

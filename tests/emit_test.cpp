@@ -134,6 +134,7 @@ TEST(Encode, RetargetPrecomputesWriteConditions) {
   EXPECT_EQ(base.mgr->node_count(), nodes);
   EXPECT_EQ(again.cube_words, base.writers.cube_words);
   EXPECT_EQ(again.cubes, base.writers.cubes);
+  EXPECT_EQ(again.facts, base.writers.facts);
   ASSERT_EQ(again.storages.size(), base.writers.storages.size());
   for (std::size_t i = 0; i < again.storages.size(); ++i) {
     const rtl::StorageWriters& a = again.storages[i];
@@ -169,6 +170,7 @@ TEST(Encode, CacheLoadedTargetCarriesWriteConditions) {
   std::filesystem::remove_all(dir);
 
   EXPECT_EQ(cold->base->writers.cubes, warm->base->writers.cubes);
+  EXPECT_EQ(cold->base->writers.facts, warm->base->writers.facts);
   const std::vector<rtl::StorageWriters>& a = cold->base->writers.storages;
   const std::vector<rtl::StorageWriters>& b = warm->base->writers.storages;
   ASSERT_FALSE(a.empty());

@@ -12,7 +12,10 @@
 #include "sched/order.h"
 #include "sched/spill.h"
 #include "select/selector.h"
+#include "models/workload.h"
 #include "sim/check.h"
+#include "testgen/modelgen.h"
+#include "testgen/programgen.h"
 
 namespace record {
 namespace {
@@ -477,6 +480,136 @@ TEST(DuoModes, ConflictingModeBitsResynthesizeTheFullRegister) {
   EXPECT_EQ(listing.find("SM := #1"), std::string::npos)
       << "mode set dropped the established high bit:\n" << listing;
   expect_duo_semantics(prog, res);
+}
+
+TEST(DuoModes, LoopHeadSetsTheModeItsPackedWordNeeds) {
+  // The loop head packs `r0 + r1` with `r1 & 3` (SM = 2); the body then
+  // switches to SM = 3 for OR and branches back. Mode state entering `top`
+  // is not what the entry code left there, because the back edge enters it
+  // too: the head must set SM = 2 itself on every iteration, or the second
+  // one would run its AND as an OR.
+  ir::ProgramBuilder b("t");
+  b.reg("r0", "R0").reg("r1", "R1");
+  b.let("r1", ir::e_bin(hdl::OpKind::And, ir::e_var("r1"), ir::e_var("r0")));
+  b.label("top");
+  b.let("r0", ir::e_add(ir::e_var("r0"), ir::e_var("r1")));
+  b.let("r1", ir::e_bin(hdl::OpKind::And, ir::e_var("r1"), ir::e_const(3)));
+  b.let("r0", ir::e_bin(hdl::OpKind::Or, ir::e_var("r0"), ir::e_var("r1")));
+  b.jump("top");
+  ir::Program prog = b.take();
+  core::CompileResult res = duo_compile(prog);
+
+  const compact::CompactedRegion* region = nullptr;
+  for (const auto& r : res.compacted.program.regions)
+    if (r.label == "top") region = &r;
+  ASSERT_NE(region, nullptr);
+  ASSERT_GE(region->words.size(), 2u);
+  EXPECT_TRUE(region->words[0].is_mode_set) << res.listing();
+  EXPECT_EQ(region->words[1].rts.size(), 2u) << res.listing();
+  EXPECT_EQ(res.compacted.stats.mode_sets_inserted, 3u) << res.listing();
+  EXPECT_EQ(res.compacted.stats.words_mode_checked, 3u);
+  expect_duo_semantics(prog, res);
+}
+
+// --- per-target compaction facts ---------------------------------------------
+
+/// Checks `target`'s per-template facts against the BDD, then compiles
+/// `progs` and checks that every pair of selected RTs whose cubes conflict
+/// (the pairs compaction rejects without the BDD) has an unsatisfiable
+/// conjunction. Returns the number of such pairs.
+std::size_t expect_facts_hold(const core::RetargetResult& target,
+                              const std::vector<ir::Program>& progs,
+                              const core::CompileOptions& options,
+                              const std::string& what) {
+  const rtl::TemplateBase& base = *target.base;
+  bdd::BddManager& mgr = *base.mgr;
+  const rtl::WriteConditions& wc = base.writers;
+  EXPECT_EQ(wc.facts.size(), base.templates.size()) << what;
+  for (std::size_t i = 0; i < base.templates.size() && i < wc.facts.size();
+       ++i) {
+    bool mode = false, dynamic = false;
+    for (int v : mgr.support(base.templates[i].cond)) {
+      const rtl::Var::Kind kind = base.vars[v].kind;
+      if (kind == rtl::Var::Kind::kMode) mode = true;
+      else if (kind != rtl::Var::Kind::kInstr) dynamic = true;
+    }
+    EXPECT_EQ(wc.facts[i].reads_mode, mode) << what << " template " << i;
+    EXPECT_EQ(wc.facts[i].reads_dynamic, dynamic) << what << " template "
+                                                  << i;
+  }
+
+  std::size_t rejected = 0;
+  const std::size_t slot = 2 * wc.cube_words;
+  for (const ir::Program& prog : progs) {
+    core::Compiler compiler(target);
+    util::DiagnosticSink diags;
+    auto res = compiler.compile(prog, options, diags);
+    if (!res) continue;  // uncovered or unrepairable: nothing to pack
+    const compact::CompactStats& cs = res->compacted.stats;
+    EXPECT_EQ(cs.words_mode_free + cs.words_mode_checked +
+                  cs.mode_sets_inserted + cs.delay_nops_inserted,
+              cs.words)
+        << what;
+    EXPECT_LE(cs.pairs_cube_rejected, cs.pairs_rejected_encoding) << what;
+    std::vector<const select::SelectedRT*> rts;
+    for (const select::StmtCode& sc : res->selection.stmts)
+      for (const select::SelectedRT& rt : sc.rts) rts.push_back(&rt);
+    std::vector<std::uint64_t> cubes(rts.size() * slot, 0);
+    for (std::size_t i = 0; i < rts.size(); ++i)
+      compact::add_implied_literals(*rts[i], base, cubes.data() + i * slot);
+    for (std::size_t i = 0; i < rts.size(); ++i)
+      for (std::size_t j = i + 1; j < rts.size(); ++j) {
+        if (!wc.conflict(cubes.data() + i * slot, cubes.data() + j * slot))
+          continue;
+        ++rejected;
+        EXPECT_EQ(mgr.land(rts[i]->cond, rts[j]->cond), bdd::kFalse)
+            << what << ": " << rts[i]->comment << " / " << rts[j]->comment;
+      }
+  }
+  return rejected;
+}
+
+TEST(CompactFacts, HoldOnBuiltinModels) {
+  std::size_t rejected = 0;
+  for (const models::ChainShape& shape : models::kChainShapes) {
+    util::DiagnosticSink diags;
+    auto r = core::Record::retarget_model(shape.model,
+                                          core::RetargetOptions{}, diags);
+    ASSERT_TRUE(r) << shape.model << ": " << diags.str();
+    std::vector<ir::Program> progs;
+    progs.push_back(models::chain_program(shape, 8));
+    progs.push_back(models::chain_program(shape, 32));
+    rejected += expect_facts_hold(*r, progs, core::CompileOptions{},
+                                  shape.model);
+  }
+  EXPECT_GT(rejected, 0u) << "no pair exercised the cube check";
+}
+
+TEST(CompactFacts, HoldOnGeneratedSeeds0To50) {
+  std::size_t rejected = 0, mode_models = 0;
+  for (std::uint64_t seed = 0; seed <= 50; ++seed) {
+    testgen::GeneratedModel m = testgen::generate_model(seed);
+    util::DiagnosticSink diags;
+    auto r = core::Record::retarget(m.hdl, core::RetargetOptions{}, diags);
+    if (!r) continue;  // the oracle reports retarget failures itself
+    core::CompileOptions options;
+    if (m.spill_slots > 0) {
+      options.spill.scratch_base = m.spill_base;
+      options.spill.scratch_slots = m.spill_slots;
+    }
+    std::vector<ir::Program> progs;
+    for (std::uint64_t p = 0; p < 3; ++p)
+      progs.push_back(testgen::generate_program(m, p).program);
+    rejected += expect_facts_hold(*r, progs, options,
+                                  "seed " + std::to_string(seed));
+    for (const rtl::TemplateFacts& f : r->base->writers.facts)
+      if (f.reads_mode) {
+        ++mode_models;
+        break;
+      }
+  }
+  EXPECT_GT(rejected, 0u) << "no pair exercised the cube check";
+  EXPECT_GT(mode_models, 0u) << "no generated model reads a mode bit";
 }
 
 }  // namespace

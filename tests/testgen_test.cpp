@@ -542,10 +542,11 @@ TEST(GrammarEdge, UnreachableOpFailsIdenticallyOnGeneratedModel) {
 
 // --- deterministic replay of checked-in generated models --------------------
 
-class CheckedInModel : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(CheckedInModel, MatchesGeneratorAndPassesOracle) {
-  std::uint64_t seed = GetParam();
+/// Checks tests/data/gen<seed>.hdl against the generator, which the
+/// checked-in dump pins: regeneration must be byte-identical (seed-replay
+/// workflow; see tests/README.md). Then runs program `program` of the
+/// model through the oracle.
+void expect_fixture_passes(std::uint64_t seed, std::uint64_t program) {
   std::string path =
       std::string(RECORD_TESTS_DIR) + "/data/gen" + std::to_string(seed) +
       ".hdl";
@@ -554,16 +555,20 @@ TEST_P(CheckedInModel, MatchesGeneratorAndPassesOracle) {
   std::ostringstream buf;
   buf << in.rdbuf();
 
-  // The checked-in dump pins the generator: regeneration must be
-  // byte-identical (seed-replay workflow; see tests/README.md).
   GeneratedModel m = generate_model(seed);
   EXPECT_EQ(buf.str(), m.hdl)
       << "generator drifted from tests/data fixture for seed " << seed
       << " — intentional? regenerate the dump and note it in the PR";
 
-  GeneratedProgram gp = generate_program(m, 0);
+  GeneratedProgram gp = generate_program(m, program);
   OracleReport rep = check_pair(m.hdl, gp.program, oracle_options(m));
   EXPECT_TRUE(rep.agree) << rep.failure << "\n" << gp.kernel;
+}
+
+class CheckedInModel : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CheckedInModel, MatchesGeneratorAndPassesOracle) {
+  expect_fixture_passes(GetParam(), 0);
 }
 
 // Seeds 9, 12 and 53 pin the multi-issue generator across its shape space:
@@ -574,6 +579,19 @@ TEST_P(CheckedInModel, MatchesGeneratorAndPassesOracle) {
 INSTANTIATE_TEST_SUITE_P(Fixtures, CheckedInModel,
                          ::testing::Values(0ull, 2ull, 4ull, 9ull, 12ull,
                                            53ull));
+
+// Seed 178 program 1 (2 slots + mode) and seed 1737 program 2 (3 slots +
+// mode) are one loop each, `Ltop: ... goto Ltop`. Their bodies end with a
+// mode set, and compaction used to carry that mode into the packed words
+// at Ltop as if the loop were entered only from above: every iteration
+// after the first ran them under the wrong mode.
+TEST(CompactionRegression, ModeStateAtLoopHeadSeed178) {
+  expect_fixture_passes(178, 1);
+}
+
+TEST(CompactionRegression, ModeStateAtLoopHeadSeed1737) {
+  expect_fixture_passes(1737, 2);
+}
 
 TEST(MultiIssuePins, PinnedSeedsCoverTheKnobSpace) {
   GeneratedModel m9 = generate_model(9);
