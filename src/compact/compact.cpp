@@ -25,16 +25,11 @@ void add_implied_literals(const select::SelectedRT& rt,
   const std::uint64_t* own = wc.writer_cube(
       static_cast<std::size_t>(rt.tmpl - base.templates.data()));
   for (std::size_t i = 0; i < 2 * words; ++i) cube[i] |= own[i];
-  for (const treeparse::ImmBinding& b : rt.imms) {
-    const std::vector<int>& bits = *b.field_bits;
-    for (std::size_t j = 0; j < bits.size(); ++j) {
-      const int var = bits[j];  // I[k] is variable k
-      if (var < 0 || var >= base.instruction_width) continue;
-      const bool one = ((static_cast<std::uint64_t>(b.value) >> j) & 1u) != 0;
+  for (const treeparse::ImmBinding& b : rt.imms)
+    b.for_each_literal(base.instruction_width, [&](int var, bool one) {
       const auto k = static_cast<std::size_t>(var);
       cube[(one ? 0 : words) + k / 64] |= std::uint64_t{1} << (k % 64);
-    }
-  }
+    });
 }
 
 namespace {
@@ -314,6 +309,7 @@ class Compactor {
   /// machines where alternative encodings are OR-merged across mode
   /// settings: without it the encoder's any_sat could pick instruction
   /// bits that only decode correctly under a mode the machine is not in.
+  /// A register no template can set to the needed value is an error.
   void handle_modes(Word& w, CompactedRegion& out, CompactResult& result) {
     if (!reads_mode(w)) {
       ++result.stats.words_mode_free;
@@ -359,8 +355,11 @@ class Compactor {
       const select::SelectedRT* set_rt = synthesize_mode_set(inst, bits,
                                                              result);
       if (!set_rt) {
-        diags_.warning({}, fmt("no template to set mode register '{}'",
-                               inst));
+        // The word's encoding was chosen for a mode the machine may not
+        // hold; emitting it would be a silent miscompile.
+        diags_.error({}, fmt("no template to set mode register '{}' to the "
+                             "mode a word needs",
+                             inst));
         continue;
       }
       for (const auto& [bit, val] : bits) {
@@ -396,12 +395,9 @@ class Compactor {
         b.field_bits = &t.value->imm_bits;
         b.value = value;
         rt->imms.push_back(b);
-        for (std::size_t j = 0; j < b.field_bits->size(); ++j) {
-          int var = (*b.field_bits)[j];  // I[k] is variable k
-          if (var < 0 || var >= base_.instruction_width) continue;
-          bool bit = ((static_cast<std::uint64_t>(value) >> j) & 1u) != 0;
+        b.for_each_literal(base_.instruction_width, [&](int var, bool bit) {
           rt->cond = mgr.land(rt->cond, mgr.literal(var, bit));
-        }
+        });
       } else if (t.value->kind == rtl::RTNode::Kind::HardConst) {
         if (t.value->value != value) continue;
       } else {

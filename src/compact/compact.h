@@ -25,7 +25,8 @@
 // mode-register templates). The set writes the whole register: bits the
 // word does not need keep their known value, or 0 when unknown. The word's
 // condition is then baked with the mode values the machine will hold. The
-// compiler never assumes reset contents.
+// compiler never assumes reset contents: when no template can set the
+// register to the needed value, compaction reports an error.
 #pragma once
 
 #include <cstdint>

@@ -146,15 +146,10 @@ const std::vector<int>& CodeSelector::read_ordinals_of_rule(int rule_id) {
 bdd::Ref CodeSelector::imm_constraint(
     const std::vector<treeparse::ImmBinding>& imms, bdd::Ref cond) {
   bdd::BddManager& mgr = *base_.mgr;
-  for (const treeparse::ImmBinding& b : imms) {
-    const std::vector<int>& bits = *b.field_bits;
-    for (std::size_t j = 0; j < bits.size(); ++j) {
-      int var = bits[j];  // I[k] is variable k
-      if (var < 0 || var >= base_.instruction_width) continue;
-      bool bit = ((static_cast<std::uint64_t>(b.value) >> j) & 1u) != 0;
+  for (const treeparse::ImmBinding& b : imms)
+    b.for_each_literal(base_.instruction_width, [&](int var, bool bit) {
       cond = mgr.land(cond, mgr.literal(var, bit));
-    }
-  }
+    });
   return cond;
 }
 

@@ -17,6 +17,7 @@
 // selector performs no per-node heap traffic.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -72,6 +73,18 @@ struct ImmBinding {
   std::int64_t value = 0;
 
   [[nodiscard]] const std::vector<int>& bits() const { return *field_bits; }
+
+  /// Calls visit(k, bit) for each instruction-word bit I[k] (BDD variable
+  /// k) the binding fixes: field position j carries bit j of the value.
+  /// Positions outside [0, instruction_width) are skipped.
+  template <typename Visit>
+  void for_each_literal(int instruction_width, Visit&& visit) const {
+    for (std::size_t j = 0; j < field_bits->size(); ++j) {
+      const int var = (*field_bits)[j];
+      if (var < 0 || var >= instruction_width) continue;
+      visit(var, ((static_cast<std::uint64_t>(value) >> j) & 1u) != 0);
+    }
+  }
 };
 
 /// Non-owning array view into arena storage (children / immediate lists of

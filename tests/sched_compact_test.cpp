@@ -511,6 +511,38 @@ TEST(DuoModes, LoopHeadSetsTheModeItsPackedWordNeeds) {
   expect_duo_semantics(prog, res);
 }
 
+TEST(DuoModes, UnsettableModeRegisterIsAnError) {
+  // A duo variant whose mode register loads from R0 instead of an
+  // instruction field: no template sets SM to a constant, so nothing can
+  // establish the SM = 2 that AND needs. Mode state is unknown at entry, so
+  // the compile must fail rather than emit a word whose encoding assumes a
+  // mode the machine may not hold.
+  std::ifstream in(std::string(RECORD_TESTS_DIR) + "/data/duo.hdl");
+  ASSERT_TRUE(in) << "missing fixture tests/data/duo.hdl";
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  std::string hdl = buf.str();
+  const std::string from = "SM.d := IW.w(21:20);";
+  const std::size_t at = hdl.find(from);
+  ASSERT_NE(at, std::string::npos);
+  hdl.replace(at, from.size(), "SM.d := R0.q(1:0);");
+  util::DiagnosticSink rdiags;
+  auto target = core::Record::retarget(hdl, core::RetargetOptions{}, rdiags);
+  ASSERT_TRUE(target) << rdiags.str();
+
+  ir::ProgramBuilder b("t");
+  b.reg("r0", "R0").reg("r1", "R1");
+  b.let("r1", ir::e_bin(hdl::OpKind::And, ir::e_var("r1"), ir::e_var("r0")));
+  ir::Program prog = b.take();
+  core::Compiler compiler(*target);
+  util::DiagnosticSink diags;
+  auto res = compiler.compile(prog, core::CompileOptions{}, diags);
+  EXPECT_FALSE(res) << res->listing();
+  EXPECT_NE(diags.str().find("no template to set mode register 'SM'"),
+            std::string::npos)
+      << diags.str();
+}
+
 // --- per-target compaction facts ---------------------------------------------
 
 /// Checks `target`'s per-template facts against the BDD, then compiles

@@ -17,12 +17,6 @@
 // Usage:
 //   fuzz_retarget [--seeds A..B | --seeds N]  seed range (default 0..50)
 //                 [--programs K]              programs per model (default 3)
-//                 [--shard I/N]               run only the seeds s of the
-//                                             range with s mod N == I, so N
-//                                             processes split one range
-//                                             (the oracle checks pairs on
-//                                             one thread); sum their
-//                                             summaries' counts
 //                 [--workers N]               service workers (default 4)
 //                 [--service-every M]         run the service path on every
 //                                             M-th pair only (default 1 =
@@ -112,8 +106,6 @@ struct Args {
   std::uint64_t seed_lo = 0;
   std::uint64_t seed_hi = 50;
   int programs = 3;
-  int shard = 0;   // --shard I/N: seeds s with s % shards == shard
-  int shards = 1;
   int workers = 4;
   int service_every = 1;
   bool fail_fast = false;
@@ -172,15 +164,6 @@ std::optional<Args> parse_args(int argc, char** argv) {
       if (a.seed_hi < a.seed_lo) return std::nullopt;
     } else if (arg == "--programs") {
       if (!parse_int(value(), a.programs)) return std::nullopt;
-    } else if (arg == "--shard") {
-      const char* v = value();
-      if (!v) return std::nullopt;
-      std::string s(v);
-      std::size_t slash = s.find('/');
-      if (slash == std::string::npos ||
-          !parse_int(s.substr(0, slash).c_str(), a.shard) ||
-          !parse_int(s.substr(slash + 1).c_str(), a.shards))
-        return std::nullopt;
     } else if (arg == "--workers") {
       if (!parse_int(value(), a.workers)) return std::nullopt;
     } else if (arg == "--service-every") {
@@ -220,11 +203,6 @@ std::optional<Args> parse_args(int argc, char** argv) {
   }
   if (a.programs < 1 || a.workers < 1 || a.service_every < 1)
     return std::nullopt;
-  if (a.shards < 1 || a.shard >= a.shards) return std::nullopt;
-  if (a.shards > 1 && a.coverage_guided) {
-    std::fprintf(stderr, "--shard does not combine with --coverage-guided\n");
-    return std::nullopt;
-  }
   return a;
 }
 
@@ -564,7 +542,6 @@ int main(int argc, char** argv) {
   if (!parsed) {
     std::fprintf(stderr,
                  "usage: fuzz_retarget [--seeds A..B|N] [--programs K] "
-                 "[--shard I/N] "
                  "[--workers N] [--service-every M] [--fail-fast] "
                  "[--repro-out PATH] [--replay PATH] [--keep-cache] "
                  "[--no-semantics] [--no-compact] [--trace PATH] [--explain] "
@@ -595,9 +572,6 @@ int main(int argc, char** argv) {
     } else {
       for (std::uint64_t seed = args.seed_lo; seed <= args.seed_hi && !c.stop;
            ++seed) {
-        if (seed % static_cast<std::uint64_t>(args.shards) !=
-            static_cast<std::uint64_t>(args.shard))
-          continue;
         obs::Span seed_span("fuzz.seed");
         seed_span.note("seed", static_cast<std::int64_t>(seed));
         ModelRun mr = make_model_run(seed, c);
