@@ -28,6 +28,13 @@ Ref BddManager::literal(int v, bool positive) {
   return positive ? make_node(v, kFalse, kTrue) : make_node(v, kTrue, kFalse);
 }
 
+Ref BddManager::make(int v, Ref lo, Ref hi) {
+  assert(v >= 0 && v < var_count());
+  std::lock_guard<std::mutex> lock(mu_);
+  if (v < level(lo) && v < level(hi)) return make_node(v, lo, hi);
+  return ite_rec(make_node(v, kFalse, kTrue), hi, lo);
+}
+
 std::size_t BddManager::node_hash(int var, Ref lo, Ref hi) {
   // splitmix64 finaliser over the packed triple, as ite_slot.
   std::uint64_t x = (std::uint64_t{lo} << 32 | hi) ^

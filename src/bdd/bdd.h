@@ -104,6 +104,10 @@ class BddManager {
   [[nodiscard]] Ref literal(int v, bool positive);
   [[nodiscard]] Ref var(int v) { return literal(v, true); }
   [[nodiscard]] Ref nvar(int v) { return literal(v, false); }
+  /// The function `v ? hi : lo`. Built as one node when v precedes the top
+  /// variables of lo and hi, as when a stored BDD is rebuilt bottom-up;
+  /// through ite otherwise.
+  [[nodiscard]] Ref make(int v, Ref lo, Ref hi);
 
   // --- Boolean connectives ------------------------------------------------
 

@@ -269,7 +269,7 @@ bdd::Ref read_bdd(ByteReader& r, bdd::BddManager& mgr) {
       r.fail();
       return bdd::kFalse;
     }
-    refs.push_back(mgr.ite(mgr.var(var), refs[hi], refs[lo]));
+    refs.push_back(mgr.make(var, refs[lo], refs[hi]));
   }
   std::uint32_t root = r.u32();
   if (!r.ok() || root >= refs.size()) {

@@ -7,7 +7,6 @@
 #include <mutex>
 
 #include "treeparse/burs.h"
-#include "util/strings.h"
 
 namespace record::burstab {
 
@@ -79,30 +78,6 @@ bool TargetTables::pattern_is_constrained(const PatNode& pat) {
   return constrained;
 }
 
-std::string TargetTables::pattern_key(const PatNode& p) {
-  // Structural key for subpattern dedup. Imm leaves collapse to their width:
-  // two Imm leaves of equal width match identically (bindings are collected
-  // from the subject at reduce time, not from the table).
-  switch (p.kind) {
-    case PatNode::Kind::Term: {
-      std::string k = util::fmt("T{}(", p.term);
-      for (const grammar::PatNodePtr& c : p.children) {
-        k += pattern_key(*c);
-        k += ',';
-      }
-      k += ')';
-      return k;
-    }
-    case PatNode::Kind::NonTerm:
-      return util::fmt("N{}", p.nt);
-    case PatNode::Kind::Imm:
-      return util::fmt("I{}", p.width);
-    case PatNode::Kind::Const:
-      return util::fmt("C{}", p.value);
-  }
-  return "?";
-}
-
 void TargetTables::prepare(const grammar::TreeGrammar& g) {
   nt_count_ = g.nonterminal_count();
   const_term_ = g.const_terminal();
@@ -116,22 +91,67 @@ void TargetTables::prepare(const grammar::TreeGrammar& g) {
   subs_by_terminal_.assign(static_cast<std::size_t>(terms), {});
   constrained_precheck_.assign(static_cast<std::size_t>(terms), {});
 
-  std::unordered_map<std::string, int> key_index;
-
-  // Registers `p` (a Term-kind pattern position) and, recursively, its
-  // Term-kind descendants.
-  auto register_sub = [&](auto&& self, const PatNode& p) -> void {
-    if (p.kind != PatNode::Kind::Term) return;
-    std::string key = pattern_key(p);
-    auto [it, inserted] =
-        key_index.emplace(std::move(key), static_cast<int>(subpatterns_.size()));
-    if (inserted) {
-      subpatterns_.push_back(&p);
-      subs_by_terminal_[static_cast<std::size_t>(p.term)].push_back(
-          it->second);
+  // Subpattern dedup by structure, interned bottom-up: a Term node's shape
+  // is its terminal plus, per child, the child's shape (Term) or its leaf
+  // identity (NonTerm: the non-terminal; Imm: only the width, since two Imm
+  // leaves of equal width match identically and bindings come from the
+  // subject at reduce time; Const: the value). Subpattern indices are then
+  // handed out in preorder, the first position of each shape winning.
+  struct ShapeHash {
+    std::size_t operator()(const std::vector<std::int64_t>& k) const {
+      std::size_t h = 1469598103934665603ull;
+      for (std::int64_t v : k)
+        h = (h ^ static_cast<std::size_t>(v)) * 1099511628211ull;
+      return h;
     }
-    sub_index_.emplace(&p, it->second);
-    for (const grammar::PatNodePtr& c : p.children) self(self, *c);
+  };
+  std::unordered_map<std::vector<std::int64_t>, int, ShapeHash> shape_ids;
+  std::vector<int> sub_of_shape;  // shape -> subpattern index, -1 = none yet
+  // Term-kind positions of one rule child in preorder, with their shapes.
+  std::vector<std::pair<const PatNode*, int>> positions;
+  auto intern_shape = [&](auto&& self, const PatNode& p) -> int {
+    const std::size_t at = positions.size();
+    positions.emplace_back(&p, -1);
+    std::vector<std::int64_t> k;
+    k.reserve(1 + 2 * p.children.size());
+    k.push_back(p.term);
+    for (const grammar::PatNodePtr& c : p.children) {
+      k.push_back(static_cast<std::int64_t>(c->kind));
+      switch (c->kind) {
+        case PatNode::Kind::Term:
+          k.push_back(self(self, *c));
+          break;
+        case PatNode::Kind::NonTerm:
+          k.push_back(c->nt);
+          break;
+        case PatNode::Kind::Imm:
+          k.push_back(c->width);
+          break;
+        case PatNode::Kind::Const:
+          k.push_back(c->value);
+          break;
+      }
+    }
+    auto [it, inserted] =
+        shape_ids.emplace(std::move(k), static_cast<int>(shape_ids.size()));
+    if (inserted) sub_of_shape.push_back(-1);
+    positions[at].second = it->second;
+    return it->second;
+  };
+  // Registers `p` (a Term-kind pattern position) and its Term-kind
+  // descendants.
+  auto register_sub = [&](const PatNode& p) {
+    positions.clear();
+    (void)intern_shape(intern_shape, p);
+    for (const auto& [pos, shape] : positions) {
+      int& sub = sub_of_shape[static_cast<std::size_t>(shape)];
+      if (sub < 0) {
+        sub = static_cast<int>(subpatterns_.size());
+        subpatterns_.push_back(pos);
+        subs_by_terminal_[static_cast<std::size_t>(pos->term)].push_back(sub);
+      }
+      sub_index_.emplace(pos, sub);
+    }
   };
 
   // Collects Imm widths / Const values.
@@ -200,7 +220,7 @@ void TargetTables::prepare(const grammar::TreeGrammar& g) {
           plan);
       if (r.pattern->term == const_term_) const_root_rules_[0].push_back(plan);
       for (const grammar::PatNodePtr& c : r.pattern->children)
-        register_sub(register_sub, *c);
+        if (c->kind == PatNode::Kind::Term) register_sub(*c);
     } else {
       // Imm/Const-rooted rules attach to the constant terminal.
       const_root_rules_[0].push_back(plan);

@@ -268,7 +268,6 @@ class TargetTables {
   void prepare(const grammar::TreeGrammar& g);
   [[nodiscard]] static bool pattern_is_constrained(
       const grammar::PatNode& pat);
-  [[nodiscard]] static std::string pattern_key(const grammar::PatNode& p);
 
   [[nodiscard]] StateView view_of_row(const std::int32_t* row) const;
   [[nodiscard]] const std::int32_t* state_row_locked(int id) const;

@@ -59,6 +59,38 @@ std::string options_digest(const RetargetOptions& o) {
 
 namespace {
 
+/// Always-on retarget metrics, resolved once (a registry lookup takes its
+/// mutex): cold builds and cache hits, and one latency histogram per
+/// pipeline phase, `retarget.<phase>_ns`, filled from RetargetResult::times.
+struct RetargetMetrics {
+  obs::Counter& cold = obs::metrics().counter("retarget.cold");
+  obs::Counter& cache_hit = obs::metrics().counter("retarget.cache_hit");
+  struct Phase {
+    std::string_view name;
+    obs::Histogram& ns;
+  };
+  Phase phases[6] = {
+      {"hdl", obs::metrics().histogram("retarget.hdl_ns")},
+      {"ise", obs::metrics().histogram("retarget.ise_ns")},
+      {"extend", obs::metrics().histogram("retarget.extend_ns")},
+      {"grammar", obs::metrics().histogram("retarget.grammar_ns")},
+      {"tables", obs::metrics().histogram("retarget.tables_ns")},
+      {"cacheload", obs::metrics().histogram("retarget.cacheload_ns")},
+  };
+
+  void record(const util::PhaseTimes& times) {
+    for (const auto& [name, seconds] : times.entries())
+      for (Phase& p : phases)
+        if (p.name == name)
+          p.ns.record(static_cast<std::int64_t>(seconds * 1e9));
+  }
+};
+
+RetargetMetrics& retarget_metrics() {
+  static RetargetMetrics m;
+  return m;
+}
+
 /// The Table 3 "parser generation"/"parser compilation" phases; shared by
 /// the cold pipeline and cache hits (the artifact is derived, not cached).
 void emit_parser(RetargetResult& result, const RetargetOptions& options,
@@ -129,7 +161,8 @@ std::optional<RetargetResult> Record::retarget(
       result.times.record("cacheload", timer.seconds());
       span.note("processor", result.processor);
       span.note("cache", "hit");
-      obs::metrics().counter("retarget.cache_hit").add(1);
+      retarget_metrics().cache_hit.add(1);
+      retarget_metrics().record(result.times);
       emit_parser(result, options, diags);
       return result;
     }
@@ -200,7 +233,8 @@ std::optional<RetargetResult> Record::retarget(
   phase.reset();
   span.note("processor", result.processor);
   span.note("templates", static_cast<std::int64_t>(result.template_count()));
-  obs::metrics().counter("retarget.cold").add(1);
+  retarget_metrics().cold.add(1);
+  retarget_metrics().record(result.times);
 
   if (cache) {
     timer.reset();

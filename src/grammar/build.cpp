@@ -1,5 +1,7 @@
 #include "grammar/build.h"
 
+#include <unordered_map>
+
 #include "util/strings.h"
 
 namespace record::grammar {
@@ -67,7 +69,9 @@ class Builder {
 
     // RT rules from templates.
     for (const rtl::RTTemplate& t : base_.templates) {
-      NtId lhs = g.find_nonterminal(nonterminal_name_for(t.dest));
+      NtId lhs = cached(dest_nts_, t.dest, [&] {
+        return g.find_nonterminal(nonterminal_name_for(t.dest));
+      });
       if (lhs < 0) {
         diags_.warning({}, fmt("template {} targets unknown storage '{}'",
                                t.id, t.dest));
@@ -83,7 +87,10 @@ class Builder {
           std::vector<PatNodePtr> kids;
           kids.push_back(lower(*t.addr, g, /*elide_low=*/false));
           kids.push_back(lower(*t.value, g, elide_low));
-          rhs = pat_term(g.intern_terminal(store_terminal_name(t.dest)),
+          rhs = pat_term(cached(store_terms_, t.dest, [&] {
+                           return g.intern_terminal(
+                               store_terminal_name(t.dest));
+                         }),
                          std::move(kids));
         } else {
           rhs = lower(*t.value, g, elide_low);
@@ -134,17 +141,23 @@ class Builder {
         return pat_imm(n.imm_bits);
       case rtl::RTNode::Kind::RegRead:
         // Reference to SEQ -> NonTerm (registers & mode registers).
-        return pat_nonterm(
-            g.intern_nonterminal(nonterminal_name_for(n.name)));
+        return pat_nonterm(cached(nts_, n.name, [&] {
+          return g.intern_nonterminal(nonterminal_name_for(n.name));
+        }));
       case rtl::RTNode::Kind::PortIn:
         // Reference to PORTS -> Term.
-        return pat_term(g.intern_terminal(port_terminal_name(n.name)), {});
+        return pat_term(cached(port_terms_, n.name, [&] {
+                          return g.intern_terminal(port_terminal_name(n.name));
+                        }),
+                        {});
       case rtl::RTNode::Kind::MemLoad: {
         std::vector<PatNodePtr> kids;
         kids.push_back(lower(*n.children[0], g, elide_low));
-        return pat_term(
-            g.intern_terminal(load_terminal_name(n.name, n.width)),
-            std::move(kids));
+        return pat_term(cached(op_terms_, OpKey{-1, n.width, n.name}, [&] {
+                          return g.intern_terminal(
+                              load_terminal_name(n.name, n.width));
+                        }),
+                        std::move(kids));
       }
       case rtl::RTNode::Kind::Op: {
         if (options_.elide_extension_ops &&
@@ -156,15 +169,49 @@ class Builder {
         kids.reserve(n.children.size());
         for (const rtl::RTNodePtr& c : n.children)
           kids.push_back(lower(*c, g, elide_low));
-        return pat_term(g.intern_terminal(n.op.name()), std::move(kids));
+        const OpKey key{static_cast<int>(n.op.kind), n.op.width,
+                        n.op.custom};
+        return pat_term(
+            cached(op_terms_, key, [&] { return g.intern_terminal(n.op.name()); }),
+            std::move(kids));
       }
     }
     return pat_const_leaf(0);
   }
 
+  /// Symbol ids by storage or port name, and by operator signature or
+  /// (memory, width) for loads, filled on first use with exactly the
+  /// intern call a lookup by rendered name would make, so symbols keep
+  /// their first-use ids. Keys view names held by the base.
+  template <typename Ids, typename Key, typename Intern>
+  static int cached(Ids& ids, const Key& key, Intern intern) {
+    auto [it, inserted] = ids.emplace(key, -1);
+    if (inserted) it->second = intern();
+    return it->second;
+  }
+
+  /// Operator terminal key: kind (-1 for a memory load), width and custom
+  /// name (the memory's name for a load).
+  struct OpKey {
+    int kind;
+    int width;
+    std::string_view name;
+    friend bool operator==(const OpKey&, const OpKey&) = default;
+  };
+  struct OpKeyHash {
+    std::size_t operator()(const OpKey& k) const {
+      return std::hash<std::string_view>()(k.name) ^
+             (static_cast<std::size_t>(k.kind) << 32) ^
+             static_cast<std::size_t>(k.width) * 0x9e3779b97f4a7c15ull;
+    }
+  };
+
   const rtl::TemplateBase& base_;
   BuildOptions options_;
   util::DiagnosticSink& diags_;
+  using NameIds = std::unordered_map<std::string_view, int>;
+  NameIds dest_nts_, nts_, port_terms_, store_terms_;
+  std::unordered_map<OpKey, TermId, OpKeyHash> op_terms_;
 };
 
 }  // namespace

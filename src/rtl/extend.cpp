@@ -90,9 +90,11 @@ ExtendStats extend_template_base(TemplateBase& base,
       std::size_t count_before_pass = base.templates.size();
       std::size_t added_this_pass = 0;
       for (std::size_t i = 0; i < count_before_pass; ++i) {
+        const std::vector<const RTNode*> positions =
+            preorder_nodes(*base.templates[i].value);
         for (const RewriteRule& rule : options.rewrites->rules()) {
           std::vector<RTNodePtr> variants =
-              apply_rule(*base.templates[i].value, rule);
+              apply_rule(*base.templates[i].value, positions, rule);
           for (RTNodePtr& v : variants) {
             RTTemplate t = base.templates[i].clone_shallow_meta();
             t.addr = base.templates[i].addr

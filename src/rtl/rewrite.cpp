@@ -211,11 +211,21 @@ void collect_nodes(const RTNode& tree, std::vector<const RTNode*>& out) {
 
 }  // namespace
 
-std::vector<RTNodePtr> apply_rule(const RTNode& tree,
-                                  const RewriteRule& rule) {
-  std::vector<RTNodePtr> variants;
+std::vector<const RTNode*> preorder_nodes(const RTNode& tree) {
   std::vector<const RTNode*> positions;
   collect_nodes(tree, positions);
+  return positions;
+}
+
+std::vector<RTNodePtr> apply_rule(const RTNode& tree,
+                                  const RewriteRule& rule) {
+  return apply_rule(tree, preorder_nodes(tree), rule);
+}
+
+std::vector<RTNodePtr> apply_rule(const RTNode& tree,
+                                  const std::vector<const RTNode*>& positions,
+                                  const RewriteRule& rule) {
+  std::vector<RTNodePtr> variants;
   for (const RTNode* pos : positions) {
     Bindings bind;
     if (!match(*rule.lhs, *pos, bind)) continue;

@@ -75,4 +75,14 @@ class RewriteLibrary {
 [[nodiscard]] std::vector<RTNodePtr> apply_rule(const RTNode& tree,
                                                 const RewriteRule& rule);
 
+/// The nodes of `tree` in preorder: the positions apply_rule tries, in the
+/// order its variants come out.
+[[nodiscard]] std::vector<const RTNode*> preorder_nodes(const RTNode& tree);
+
+/// apply_rule over positions already collected with preorder_nodes(tree),
+/// so that a whole library is applied to one tree with one walk.
+[[nodiscard]] std::vector<RTNodePtr> apply_rule(
+    const RTNode& tree, const std::vector<const RTNode*>& positions,
+    const RewriteRule& rule);
+
 }  // namespace record::rtl

@@ -1,20 +1,38 @@
 #include "rtl/template.h"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
-#include <sstream>
-#include <unordered_set>
+#include <unordered_map>
 
 namespace record::rtl {
 
-std::string OpSig::name() const {
-  std::ostringstream os;
-  if (kind == hdl::OpKind::Custom)
-    os << custom;
+namespace {
+
+// The renderers behind OpSig::name, to_string and RTTemplate::signature:
+// each appends to one string.
+
+void append_int(std::string& out, std::int64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+void append_name(const OpSig& op, std::string& out) {
+  if (op.kind == hdl::OpKind::Custom)
+    out += op.custom;
   else
-    os << hdl::to_string(kind);
-  os << '.' << width;
-  return os.str();
+    out += hdl::to_string(op.kind);
+  out += '.';
+  append_int(out, op.width);
+}
+
+}  // namespace
+
+std::string OpSig::name() const {
+  std::string out;
+  append_name(*this, out);
+  return out;
 }
 
 OpSig slice_op_sig(int msb, int lsb) {
@@ -90,37 +108,47 @@ RTNodePtr make_hard_const(std::int64_t value, int width) {
 
 namespace {
 
-void dump(const RTNode& n, std::ostream& os) {
+void append_tree(const RTNode& n, std::string& out) {
   switch (n.kind) {
     case RTNode::Kind::Op: {
-      os << n.op.name() << '(';
+      append_name(n.op, out);
+      out += '(';
       for (std::size_t i = 0; i < n.children.size(); ++i) {
-        if (i) os << ',';
-        dump(*n.children[i], os);
+        if (i) out += ',';
+        append_tree(*n.children[i], out);
       }
-      os << ')';
+      out += ')';
       break;
     }
     case RTNode::Kind::RegRead:
-      os << n.name;
+      out += n.name;
       break;
     case RTNode::Kind::MemLoad:
-      os << n.name << '[';
-      dump(*n.children[0], os);
-      os << ']';
+      out += n.name;
+      out += '[';
+      append_tree(*n.children[0], out);
+      out += ']';
       break;
     case RTNode::Kind::PortIn:
-      os << '@' << n.name;
+      out += '@';
+      out += n.name;
       break;
     case RTNode::Kind::Imm: {
       // Field positions are part of the identity: two immediates drawn from
       // different instruction-word fields are different leaves.
-      os << "#imm." << n.width;
-      if (!n.imm_bits.empty()) os << '@' << n.imm_bits.front();
+      out += "#imm.";
+      append_int(out, n.width);
+      if (!n.imm_bits.empty()) {
+        out += '@';
+        append_int(out, n.imm_bits.front());
+      }
       break;
     }
     case RTNode::Kind::HardConst:
-      os << '#' << n.value << '.' << n.width;
+      out += '#';
+      append_int(out, n.value);
+      out += '.';
+      append_int(out, n.width);
       break;
   }
 }
@@ -128,9 +156,9 @@ void dump(const RTNode& n, std::ostream& os) {
 }  // namespace
 
 std::string to_string(const RTNode& n) {
-  std::ostringstream os;
-  dump(n, os);
-  return os.str();
+  std::string out;
+  append_tree(n, out);
+  return out;
 }
 
 bool equal(const RTNode& a, const RTNode& b) {
@@ -189,17 +217,22 @@ RTTemplate RTTemplate::clone_shallow_meta() const {
 }
 
 std::string RTTemplate::signature() const {
-  std::ostringstream os;
-  os << dest;
-  if (addr) os << '[' << rtl::to_string(*addr) << ']';
-  os << " := " << rtl::to_string(*value);
-  return os.str();
+  std::string out = dest;
+  if (addr) {
+    out += '[';
+    append_tree(*addr, out);
+    out += ']';
+  }
+  out += " := ";
+  append_tree(*value, out);
+  return out;
 }
 
 std::string RTTemplate::pretty(const bdd::BddManager& mgr) const {
-  std::ostringstream os;
-  os << signature() << "   when " << mgr.to_sop(cond);
-  return os.str();
+  std::string out = signature();
+  out += "   when ";
+  out += mgr.to_sop(cond);
+  return out;
 }
 
 const StorageInfo* TemplateBase::find_storage(std::string_view name) const {
@@ -229,38 +262,11 @@ bool TemplateBase::add_unique(RTTemplate t) {
 
 WriteConditions write_conditions(const TemplateBase& base) {
   bdd::BddManager& mgr = *base.mgr;
-  std::map<std::string, StorageWriters> by_storage;
-  WriteConditions out;
-  out.facts.resize(base.templates.size());
-  for (std::size_t i = 0; i < base.templates.size(); ++i) {
-    const RTTemplate& t = base.templates[i];
-    TemplateFacts& f = out.facts[i];
-    bdd::Ref c = t.cond;
-    for (int v : mgr.support(t.cond)) {
-      const Var::Kind kind = base.vars[v].kind;
-      if (kind == Var::Kind::kInstr) continue;
-      (kind == Var::Kind::kMode ? f.reads_mode : f.reads_dynamic) = true;
-      c = mgr.exists(c, v);
-    }
-    StorageWriters& sw = by_storage[t.dest];
-    sw.any = mgr.lor(sw.any, c);
-    sw.each.push_back({i, c, mgr.lnot(c)});
-  }
-  out.storages.reserve(by_storage.size());
-  for (auto& [storage, sw] : by_storage) {
-    sw.storage = storage;
-    sw.not_any = mgr.lnot(sw.any);
-    out.storages.push_back(std::move(sw));
-  }
-
   // Instruction bit k is variable k, so a cube is the first instruction
   // bits of the implied literals. Only a FALSE condition implies literals
   // of the other variables; those bits are masked off.
   const std::size_t iw = static_cast<std::size_t>(base.instruction_width);
   const std::size_t words = (iw + 63) / 64;
-  out.cube_words = words;
-  out.cubes.assign(2 * words * (out.storages.size() + base.templates.size()),
-                   0);
   auto store = [&](std::uint64_t* slot, bdd::Ref c) {
     const bdd::Literals lits = mgr.implied(c);
     for (std::size_t w = 0; w < words; ++w) {
@@ -271,12 +277,65 @@ WriteConditions write_conditions(const TemplateBase& base) {
       slot[words + w] = lits.neg[w] & mask;
     }
   };
-  auto slot = [&](std::size_t i) { return out.cubes.data() + 2 * words * i; };
-  for (std::size_t s = 0; s < out.storages.size(); ++s) {
-    store(slot(s), out.storages[s].any);
-    for (const StorageWriters::Writer& wr : out.storages[s].each)
-      store(slot(out.storages.size() + wr.tmpl), wr.cond);
+
+  // Many templates share one condition (the alternative RTs of one
+  // instruction, their commuted and rewritten variants), so everything
+  // derived from a condition is computed once per distinct condition:
+  // the quantified writer condition, its negation, the facts and the cube.
+  struct Derived {
+    bdd::Ref cond = bdd::kFalse;
+    bdd::Ref not_cond = bdd::kTrue;
+    TemplateFacts facts;
+  };
+  std::vector<Derived> derived;
+  std::vector<std::uint64_t> derived_cubes;  // 2 * words per entry
+  std::unordered_map<bdd::Ref, std::size_t> derived_of;
+  std::vector<std::size_t> derived_index(base.templates.size());
+
+  std::map<std::string_view, StorageWriters> by_storage;
+  WriteConditions out;
+  out.facts.resize(base.templates.size());
+  for (std::size_t i = 0; i < base.templates.size(); ++i) {
+    const RTTemplate& t = base.templates[i];
+    auto [it, inserted] = derived_of.emplace(t.cond, derived.size());
+    if (inserted) {
+      Derived d;
+      d.cond = t.cond;
+      for (int v : mgr.support(t.cond)) {
+        const Var::Kind kind = base.vars[v].kind;
+        if (kind == Var::Kind::kInstr) continue;
+        (kind == Var::Kind::kMode ? d.facts.reads_mode
+                                  : d.facts.reads_dynamic) = true;
+        d.cond = mgr.exists(d.cond, v);
+      }
+      d.not_cond = mgr.lnot(d.cond);
+      derived_cubes.resize(derived_cubes.size() + 2 * words);
+      store(derived_cubes.data() + derived_cubes.size() - 2 * words, d.cond);
+      derived.push_back(d);
+    }
+    const Derived& d = derived[it->second];
+    derived_index[i] = it->second;
+    out.facts[i] = d.facts;
+    StorageWriters& sw = by_storage[t.dest];
+    sw.any = mgr.lor(sw.any, d.cond);
+    sw.each.push_back({i, d.cond, d.not_cond});
   }
+  out.storages.reserve(by_storage.size());
+  for (auto& [storage, sw] : by_storage) {
+    sw.storage = storage;
+    sw.not_any = mgr.lnot(sw.any);
+    out.storages.push_back(std::move(sw));
+  }
+
+  out.cube_words = words;
+  out.cubes.assign(2 * words * (out.storages.size() + base.templates.size()),
+                   0);
+  auto slot = [&](std::size_t i) { return out.cubes.data() + 2 * words * i; };
+  for (std::size_t s = 0; s < out.storages.size(); ++s)
+    store(slot(s), out.storages[s].any);
+  for (std::size_t i = 0; i < base.templates.size(); ++i)
+    std::copy_n(derived_cubes.data() + 2 * words * derived_index[i],
+                2 * words, slot(out.storages.size() + i));
   return out;
 }
 
