@@ -14,18 +14,14 @@
 // completes in interactive time.
 //
 // The pipeline columns (hdl..tab and their sum, "pipe") are the best of
-// --reps cold retargets with no cache and no parser emission; the last row
+// kReps cold retargets with no cache and no parser emission; the last row
 // sums "pipe" over the six models. Parser generation and host compilation
 // run once per model. A final pass re-retargets every model through the
 // persistent TargetCache (burstab::TargetCache): the "warm" column is the
-// best-of-reps cost of serving an unchanged model from the cache — the
+// best of kReps cache-served retargets of an unchanged model — the
 // amortised retargeting price a long-running selection service pays.
-//
-// Usage: bench_table3_retargeting [--reps N]   (default 5)
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 
@@ -38,6 +34,7 @@ using namespace record;
 
 namespace {
 
+constexpr int kReps = 5;
 constexpr const char* kPhases[] = {"hdl", "ise", "extend", "grammar",
                                    "tables"};
 constexpr std::size_t kPhaseCount = std::size(kPhases);
@@ -59,21 +56,11 @@ struct Best {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  int reps = 5;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::max(1, std::atoi(argv[++i]));
-    } else {
-      std::fprintf(stderr, "usage: %s [--reps N]\n", argv[0]);
-      return 2;
-    }
-  }
-
+int main() {
   std::printf(
       "Table 3: retargeting time and extended RT template base (ms; "
       "pipeline best of %d)\n",
-      reps);
+      kReps);
   std::printf(
       "%-11s | %7s %6s | %7s %7s %7s %7s %7s %8s | %7s %7s | %7s | %7s\n",
       "processor", "paper#T", "ours#T", "hdl", "ise", "ext", "gram", "tab",
@@ -94,7 +81,7 @@ int main(int argc, char** argv) {
     Best best;
     std::size_t templates = 0;
     std::string processor;
-    for (int r = 0; r < reps; ++r) {
+    for (int r = 0; r < kReps; ++r) {
       auto result =
           core::Record::retarget_model(info.name, cold_options, diags);
       if (!result) {
@@ -128,7 +115,7 @@ int main(int argc, char** argv) {
     warm_options.compile_c_parser = false;
     double warm_ms = std::numeric_limits<double>::infinity();
     bool warm_hit = true;
-    for (int r = 0; r < reps; ++r) {
+    for (int r = 0; r < kReps; ++r) {
       util::Timer warm_timer;
       auto warm =
           core::Record::retarget_model(info.name, warm_options, diags);
@@ -149,9 +136,10 @@ int main(int argc, char** argv) {
         parser->times.get("parsercc") * 1e3, warm_ms,
         warm_ms > 0 ? best.pipe_ms / warm_ms : 0.0);
   }
-  std::printf("%-11s | %7s %6s | %7s %7s %7s %7s %7s %8.2f | %7s %7s | %7.2f |\n",
-              "six models", "", "", "", "", "", "", "", six_pipe_ms, "", "",
-              six_warm_ms);
+  std::printf(
+      "%-11s | %7s %6s | %7s %7s %7s %7s %7s %8.2f | %7s %7s | %7.2f |\n",
+      "six models", "", "", "", "", "", "", "", six_pipe_ms, "", "",
+      six_warm_ms);
 
   std::printf(
       "\npaper ordering: ref > demo > tms320c25 > tanenbaum > manocpu > "

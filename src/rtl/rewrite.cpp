@@ -218,11 +218,6 @@ std::vector<const RTNode*> preorder_nodes(const RTNode& tree) {
 }
 
 std::vector<RTNodePtr> apply_rule(const RTNode& tree,
-                                  const RewriteRule& rule) {
-  return apply_rule(tree, preorder_nodes(tree), rule);
-}
-
-std::vector<RTNodePtr> apply_rule(const RTNode& tree,
                                   const std::vector<const RTNode*>& positions,
                                   const RewriteRule& rule) {
   std::vector<RTNodePtr> variants;

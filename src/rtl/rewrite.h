@@ -70,17 +70,14 @@ class RewriteLibrary {
   std::vector<RewriteRule> rules_;
 };
 
-/// All variant trees obtained by applying `rule` at every position of
-/// `tree` (one application per variant).
-[[nodiscard]] std::vector<RTNodePtr> apply_rule(const RTNode& tree,
-                                                const RewriteRule& rule);
-
 /// The nodes of `tree` in preorder: the positions apply_rule tries, in the
 /// order its variants come out.
 [[nodiscard]] std::vector<const RTNode*> preorder_nodes(const RTNode& tree);
 
-/// apply_rule over positions already collected with preorder_nodes(tree),
-/// so that a whole library is applied to one tree with one walk.
+/// All variant trees obtained by applying `rule` at every position of
+/// `tree` (one application per variant). `positions` is
+/// preorder_nodes(tree), collected once so that a whole library is applied
+/// to one tree with one walk.
 [[nodiscard]] std::vector<RTNodePtr> apply_rule(
     const RTNode& tree, const std::vector<const RTNode*>& positions,
     const RewriteRule& rule);

@@ -278,22 +278,30 @@ WriteConditions write_conditions(const TemplateBase& base) {
     }
   };
 
+  // The storages are the map's keys, known before any condition is
+  // derived, so every cube goes straight into its slot.
+  std::map<std::string_view, StorageWriters> by_storage;
+  for (const RTTemplate& t : base.templates) by_storage[t.dest];
+  const std::size_t first_writer = by_storage.size();
+  WriteConditions out;
+  out.cube_words = words;
+  out.cubes.assign(2 * words * (first_writer + base.templates.size()), 0);
+  auto slot = [&](std::size_t i) { return out.cubes.data() + 2 * words * i; };
+
   // Many templates share one condition (the alternative RTs of one
   // instruction, their commuted and rewritten variants), so everything
   // derived from a condition is computed once per distinct condition:
-  // the quantified writer condition, its negation, the facts and the cube.
+  // the quantified writer condition, its negation, the facts and the cube,
+  // which later templates copy from the slot of the first.
   struct Derived {
     bdd::Ref cond = bdd::kFalse;
     bdd::Ref not_cond = bdd::kTrue;
     TemplateFacts facts;
+    std::size_t first = 0;  // the first template with this condition
   };
   std::vector<Derived> derived;
-  std::vector<std::uint64_t> derived_cubes;  // 2 * words per entry
   std::unordered_map<bdd::Ref, std::size_t> derived_of;
-  std::vector<std::size_t> derived_index(base.templates.size());
 
-  std::map<std::string_view, StorageWriters> by_storage;
-  WriteConditions out;
   out.facts.resize(base.templates.size());
   for (std::size_t i = 0; i < base.templates.size(); ++i) {
     const RTTemplate& t = base.templates[i];
@@ -309,12 +317,14 @@ WriteConditions write_conditions(const TemplateBase& base) {
         d.cond = mgr.exists(d.cond, v);
       }
       d.not_cond = mgr.lnot(d.cond);
-      derived_cubes.resize(derived_cubes.size() + 2 * words);
-      store(derived_cubes.data() + derived_cubes.size() - 2 * words, d.cond);
+      d.first = i;
+      store(slot(first_writer + i), d.cond);
       derived.push_back(d);
+    } else {
+      std::copy_n(slot(first_writer + derived[it->second].first), 2 * words,
+                  slot(first_writer + i));
     }
     const Derived& d = derived[it->second];
-    derived_index[i] = it->second;
     out.facts[i] = d.facts;
     StorageWriters& sw = by_storage[t.dest];
     sw.any = mgr.lor(sw.any, d.cond);
@@ -324,18 +334,9 @@ WriteConditions write_conditions(const TemplateBase& base) {
   for (auto& [storage, sw] : by_storage) {
     sw.storage = storage;
     sw.not_any = mgr.lnot(sw.any);
+    store(slot(out.storages.size()), sw.any);
     out.storages.push_back(std::move(sw));
   }
-
-  out.cube_words = words;
-  out.cubes.assign(2 * words * (out.storages.size() + base.templates.size()),
-                   0);
-  auto slot = [&](std::size_t i) { return out.cubes.data() + 2 * words * i; };
-  for (std::size_t s = 0; s < out.storages.size(); ++s)
-    store(slot(s), out.storages[s].any);
-  for (std::size_t i = 0; i < base.templates.size(); ++i)
-    std::copy_n(derived_cubes.data() + 2 * words * derived_index[i],
-                2 * words, slot(out.storages.size() + i));
   return out;
 }
 

@@ -163,7 +163,7 @@ TEST(Rewrite, Shl1BecomesAddSelf) {
   for (const RewriteRule& r : lib.rules())
     if (r.name == "shl1-to-add") rule = &r;
   ASSERT_NE(rule, nullptr);
-  auto variants = apply_rule(*t, *rule);
+  auto variants = apply_rule(*t, preorder_nodes(*t), *rule);
   ASSERT_EQ(variants.size(), 1u);
   EXPECT_EQ(to_string(*variants[0]), "+.16(A,A)");
 }
@@ -179,7 +179,7 @@ TEST(Rewrite, VariableBindingIsConsistent) {
   neg_kids.push_back(reg("B"));
   RTNodePtr t = add(reg("A"), make_op(OpSig{hdl::OpKind::Neg, "", 16},
                                       std::move(neg_kids)));
-  auto variants = apply_rule(*t, *rule);
+  auto variants = apply_rule(*t, preorder_nodes(*t), *rule);
   ASSERT_EQ(variants.size(), 1u);
   EXPECT_EQ(to_string(*variants[0]), "-.16(A,B)");
 }
@@ -192,7 +192,7 @@ TEST(Rewrite, AppliesAtInnerPositions) {
   ASSERT_NE(rule, nullptr);
   // sub(add(A, 0), B) -> sub(A, B) via the inner position.
   RTNodePtr t = sub(add(reg("A"), make_hard_const(0, 16)), reg("B"));
-  auto variants = apply_rule(*t, *rule);
+  auto variants = apply_rule(*t, preorder_nodes(*t), *rule);
   ASSERT_EQ(variants.size(), 1u);
   EXPECT_EQ(to_string(*variants[0]), "-.16(A,B)");
 }
@@ -201,7 +201,7 @@ TEST(Rewrite, NoMatchYieldsNoVariants) {
   RewriteLibrary lib = RewriteLibrary::standard();
   RTNodePtr t = reg("A");
   for (const RewriteRule& r : lib.rules())
-    EXPECT_TRUE(apply_rule(*t, r).empty()) << r.name;
+    EXPECT_TRUE(apply_rule(*t, preorder_nodes(*t), r).empty()) << r.name;
 }
 
 TEST(Rewrite, ExtendAppliesLibrary) {
@@ -237,7 +237,7 @@ TEST(Rewrite, CustomLibrary) {
   kids.push_back(reg("A"));
   kids.push_back(make_hard_const(2, 16));
   RTNodePtr t = make_op(OpSig{hdl::OpKind::Mul, "", 16}, std::move(kids));
-  auto variants = apply_rule(*t, lib.rules()[0]);
+  auto variants = apply_rule(*t, preorder_nodes(*t), lib.rules()[0]);
   ASSERT_EQ(variants.size(), 1u);
   EXPECT_EQ(to_string(*variants[0]), "<<.16(A,#1.16)");
 }
@@ -362,7 +362,7 @@ TEST(Render, BuiltinSignatureDigestsPinned) {
   EXPECT_EQ(checked, 6);
 }
 
-// --- write conditions ---------------------------------------------------------
+// --- write conditions --------------------------------------------------------
 //
 // write_conditions derives everything once per distinct condition; the
 // reference below quantifies every template's condition on its own.
