@@ -10,6 +10,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -306,6 +307,13 @@ void LineServer::handle_accept() {
     int fd = ::accept4(listen_fd_, nullptr, nullptr,
                        SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN (or a transient error): try next wakeup
+    // A flush already sends every ready response in one send; Nagle would
+    // only hold back the last reply of a drained batch until the client's
+    // delayed ACK (40 ms or more on Linux). Unix sockets have no Nagle.
+    if (options_.unix_path.empty()) {
+      int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    }
     std::uint64_t id = next_conn_id_++;
     Conn& conn = conns_[id];
     conn.fd = fd;
@@ -421,9 +429,8 @@ void LineServer::parse_lines(Conn& conn) {
   conn.inbuf.erase(0, start);
 }
 
-void LineServer::submit_or_park(Conn& conn, std::uint64_t serial,
-                                service::CompileJob job) {
-  std::uint64_t conn_id = conn.id;
+bool LineServer::try_submit(std::uint64_t conn_id, std::uint64_t serial,
+                            service::CompileJob& job) {
   service::CompileService::Callback done =
       [this, conn_id, serial](service::JobResult result) {
         std::lock_guard<std::mutex> lock(done_mu_);
@@ -437,11 +444,15 @@ void LineServer::submit_or_park(Conn& conn, std::uint64_t serial,
     std::lock_guard<std::mutex> lock(done_mu_);
     ++outstanding_;  // claimed up front so stop() never misses a callback
   }
-  if (!service_.try_submit_async(job, done)) {
-    {
-      std::lock_guard<std::mutex> lock(done_mu_);
-      --outstanding_;
-    }
+  if (service_.try_submit_async(job, done)) return true;
+  std::lock_guard<std::mutex> lock(done_mu_);
+  --outstanding_;
+  return false;
+}
+
+void LineServer::submit_or_park(Conn& conn, std::uint64_t serial,
+                                service::CompileJob job) {
+  if (!try_submit(conn.id, serial, job)) {
     net_counters().queue_stalls.add(1);
     // Saturation: make room by shedding the globally oldest parked request
     // before this one parks — deterministic oldest-first under overload.
@@ -455,34 +466,25 @@ void LineServer::submit_or_park(Conn& conn, std::uint64_t serial,
   }
 }
 
-void LineServer::retry_parked() {
+void LineServer::retry_parked(std::vector<std::uint64_t>& moved) {
   for (auto& [id, conn] : conns_) {
+    bool progressed = false;
     while (!conn.parked.empty()) {
       Parked& head = conn.parked.front();
-      std::uint64_t conn_id = conn.id;
-      std::uint64_t serial = head.serial;
-      service::CompileService::Callback done =
-          [this, conn_id, serial](service::JobResult result) {
-            std::lock_guard<std::mutex> lock(done_mu_);
-            done_.push_back(Done{conn_id, serial, std::move(result)});
-            --outstanding_;
-            done_cv_.notify_all();
-            std::uint64_t one = 1;
-            (void)!::write(wake_fd_, &one, sizeof one);
-          };
-      {
-        std::lock_guard<std::mutex> lock(done_mu_);
-        ++outstanding_;
-      }
-      if (!service_.try_submit_async(head.job, done)) {
-        std::lock_guard<std::mutex> lock(done_mu_);
-        --outstanding_;
+      if (!try_submit(id, head.serial, head.job))
         break;  // queue still full; a later completion retries
-      }
       conn.parked.pop_front();
       --parked_total_;
+      progressed = true;
     }
-    if (conn.parked.empty() && !conn.inbuf.empty()) parse_lines(conn);
+    // Lines held back by a park, a shed that emptied it, or the pipeline
+    // limit resume here.
+    if (conn.parked.empty() && !conn.inbuf.empty()) {
+      const std::size_t unparsed = conn.inbuf.size();
+      parse_lines(conn);
+      progressed = progressed || conn.inbuf.size() != unparsed;
+    }
+    if (progressed) moved.push_back(id);
   }
 }
 
@@ -492,6 +494,18 @@ void LineServer::drain_completions() {
     std::lock_guard<std::mutex> lock(done_mu_);
     ready.swap(done_);
   }
+  // Flush (and possibly close) each listed connection once; look ids up
+  // again because close_conn invalidates conns_ iterators.
+  auto flush_each = [this](std::vector<std::uint64_t>& ids) {
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    for (std::uint64_t id : ids) {
+      auto it = conns_.find(id);
+      if (it != conns_.end()) flush_ready(it->second);
+    }
+  };
+  std::vector<std::uint64_t> answered;
+  answered.reserve(ready.size());
   for (Done& d : ready) {
     auto it = conns_.find(d.conn_id);
     if (it == conns_.end()) continue;  // connection died before the answer
@@ -502,17 +516,14 @@ void LineServer::drain_completions() {
         break;
       }
     }
+    answered.push_back(d.conn_id);
   }
-  retry_parked();  // completions freed compile-queue slots
-  // Flush (and possibly close) every connection; iterate over ids because
-  // close_conn invalidates conns_ iterators.
-  std::vector<std::uint64_t> ids;
-  ids.reserve(conns_.size());
-  for (auto& [id, conn] : conns_) ids.push_back(id);
-  for (std::uint64_t id : ids) {
-    auto it = conns_.find(id);
-    if (it != conns_.end()) flush_ready(it->second);
-  }
+  // Answered connections flush first: the slots they pop make room under
+  // pipeline_limit for the lines retry_parked parses next.
+  flush_each(answered);
+  std::vector<std::uint64_t> moved;
+  retry_parked(moved);  // completions freed compile-queue slots
+  flush_each(moved);
 }
 
 void LineServer::flush_ready(Conn& conn) {

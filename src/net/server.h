@@ -7,11 +7,20 @@
 //                          │                            │
 //                          │ try_submit_async           │ in-order flush
 //                          ▼                            ▼
-//                   CompileService                conn outbuf ──► write()
+//                   CompileService                conn outbuf ──► send()
 //
 // Concurrency: the loop thread owns every Conn; worker threads only touch
 // the completion queue (mutex + eventfd wakeup), so the loop never blocks
 // on a job and the workers never block on a socket.
+//
+// Write path: a wakeup drains every queued completion and flushes only the
+// connections it answered, then those that resubmitted a parked job or
+// parsed held-back lines. A flush appends every response ready at the
+// front of the slot deque to outbuf and sends it in one send(); what the
+// kernel does not take waits for EPOLLOUT. The batching happens here, so
+// accepted TCP connections run with TCP_NODELAY: with Nagle on, the last
+// reply of a drained batch would wait for the client's delayed ACK (40 ms
+// or more on Linux).
 //
 // Ordering: each request reserves a response slot at parse time and slots
 // flush strictly in order, so pipelined requests answer in request order.
@@ -61,7 +70,7 @@ class LineServer {
     /// Slow-reader watermark: stop reading from a connection whose unsent
     /// responses exceed this many bytes.
     std::size_t max_write_buffer = 4u << 20;
-    /// In-flight response slots per connection; 0 = 2 * queue_capacity.
+    /// In-flight response slots per connection; 0 = 512.
     std::size_t max_pipeline = 0;
 
     /// Daemon-wide default for "options.listing" (the --listing flag).
@@ -149,9 +158,17 @@ class LineServer {
   void handle_readable(Conn& conn);
   void handle_writable(Conn& conn);
   void parse_lines(Conn& conn);
+  /// Submits `job` without blocking, its completion answering slot
+  /// `serial` of connection `conn_id`. False (and `job` untouched) when the
+  /// compile queue is full.
+  [[nodiscard]] bool try_submit(std::uint64_t conn_id, std::uint64_t serial,
+                                service::CompileJob& job);
   void submit_or_park(Conn& conn, std::uint64_t serial,
                       service::CompileJob job);
-  void retry_parked();
+  /// Resubmits parked jobs in order and parses lines a park or the
+  /// pipeline limit held back; appends to `moved` every connection that
+  /// submitted or parsed one.
+  void retry_parked(std::vector<std::uint64_t>& moved);
   void drain_completions();
   void flush_ready(Conn& conn);
   void update_interest(Conn& conn);

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <set>
@@ -80,6 +83,14 @@ struct Client {
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
   }
 
+  /// Writes every line of `lines` with a single send.
+  void send_lines(const std::vector<std::string>& lines) {
+    std::string framed;
+    for (const std::string& line : lines) framed += line + "\n";
+    ASSERT_EQ(::send(fd, framed.data(), framed.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(framed.size()));
+  }
+
   void send_line(const std::string& line) {
     std::string framed = line + "\n";
     ASSERT_EQ(::send(fd, framed.data(), framed.size(), MSG_NOSIGNAL),
@@ -114,6 +125,31 @@ struct Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 };
+
+/// Sends `batches` batches of `per_batch` pipelined compile requests, each
+/// batch in one send, and reads every reply before the next batch. Returns
+/// the fastest batch after the first, in ms from its send to its last reply.
+double fastest_pipelined_batch_ms(Client& client, int batches, int per_batch) {
+  double best_ms = 1e9;
+  for (int b = 0; b < batches; ++b) {
+    std::vector<std::string> lines;
+    for (int r = 0; r < per_batch; ++r)
+      lines.push_back(compile_request(
+          "b" + std::to_string(b) + "r" + std::to_string(r), "demo", true));
+    const auto t0 = std::chrono::steady_clock::now();
+    client.send_lines(lines);
+    for (int r = 0; r < per_batch; ++r) {
+      std::optional<Json> reply = Json::parse(client.read_line());
+      EXPECT_TRUE(reply && (*reply)["ok"].as_bool(false))
+          << "batch " << b << " reply " << r;
+    }
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    if (b > 0) best_ms = std::min(best_ms, ms);
+  }
+  return best_ms;
+}
 
 /// Responses carry wall-clock timings that legitimately differ between runs;
 /// equality is over everything else. Both sides get "times" nulled the same
@@ -299,6 +335,35 @@ TEST(LineServer, SlowReaderBackpressureLosesNothing) {
     ASSERT_TRUE(reply) << "response " << r << " lost";
     EXPECT_EQ((*reply)["tag"].as_string(), "slow" + std::to_string(r))
         << "responses out of order";
+    EXPECT_TRUE((*reply)["ok"].as_bool(false));
+  }
+  server.stop();
+}
+
+TEST(LineServer, PipelineLimitResumesHeldBackLines) {
+  // With one in-flight slot per connection, every line after the first
+  // waits in the input buffer; each completion must parse the next one,
+  // although the client sends nothing more.
+  service::CompileService::Options opts;
+  opts.workers = 2;
+  service::CompileService svc(opts);
+  net::LineServer::Options sopts;
+  sopts.max_pipeline = 1;
+  net::LineServer server(svc, sopts);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  constexpr int kRequests = 4;
+  Client client = Client::connect_tcp(server.port());
+  client.set_timeout(10);
+  std::vector<std::string> lines;
+  for (int r = 0; r < kRequests; ++r)
+    lines.push_back(compile_request("held" + std::to_string(r), "demo"));
+  client.send_lines(lines);
+  for (int r = 0; r < kRequests; ++r) {
+    std::optional<Json> reply = Json::parse(client.read_line());
+    ASSERT_TRUE(reply) << "response " << r << " never came";
+    EXPECT_EQ((*reply)["tag"].as_string(), "held" + std::to_string(r));
     EXPECT_TRUE((*reply)["ok"].as_bool(false));
   }
   server.stop();
@@ -609,4 +674,51 @@ TEST(LineServer, DeadlineRidesTheWireEndToEnd) {
   EXPECT_NE((*doomed)["error"].as_string().find("deadline_exceeded"),
             std::string::npos);
   server.stop();
+}
+
+TEST(LineServer, PipelinedBatchDrainsWithoutDelayedAckStall) {
+  // A pipelining client that stops sending and waits for its replies sends
+  // no data for its ACKs to ride on. With Nagle on the server socket, the
+  // last reply of each drained batch waits for the client's delayed ACK
+  // (40 ms or more on Linux); a batch of four tiny compiles on a warm
+  // target takes a few ms. The test client sets TCP_NODELAY and writes each
+  // batch in one send, so only the server's side is under test; the same
+  // batches over a Unix socket (no Nagle) are the control.
+  service::CompileService::Options opts;
+  opts.workers = 2;
+  service::CompileService svc(opts);
+  constexpr int kBatches = 6;
+  constexpr int kPerBatch = 4;
+  constexpr double kLimitMs = 30;
+
+  net::LineServer tcp(svc, net::LineServer::Options{});
+  std::string error;
+  ASSERT_TRUE(tcp.start(&error)) << error;
+  Client client = Client::connect_tcp(tcp.port());
+  int one = 1;
+  ASSERT_EQ(::setsockopt(client.fd, IPPROTO_TCP, TCP_NODELAY, &one,
+                         sizeof one),
+            0);
+  client.send_line(compile_request("warm", "demo"));  // retargets demo
+  ASSERT_FALSE(client.read_line().empty());
+  const double tcp_ms =
+      fastest_pipelined_batch_ms(client, kBatches, kPerBatch);
+  tcp.stop();
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "recordd-nodelay.sock")
+          .string();
+  net::LineServer::Options uopts;
+  uopts.unix_path = path;
+  net::LineServer unix_server(svc, uopts);
+  ASSERT_TRUE(unix_server.start(&error)) << error;
+  Client unix_client = Client::connect_unix(path);
+  const double unix_ms =
+      fastest_pipelined_batch_ms(unix_client, kBatches, kPerBatch);
+  unix_server.stop();
+
+  EXPECT_LT(unix_ms, kLimitMs) << "control: the batches themselves are slow";
+  EXPECT_LT(tcp_ms, kLimitMs)
+      << "fastest TCP batch " << tcp_ms << " ms vs " << unix_ms
+      << " ms over a Unix socket: a reply waited for a delayed ACK";
 }
