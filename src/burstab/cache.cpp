@@ -45,10 +45,7 @@ constexpr std::uint32_t kCacheMagic = 0x52544331;  // "RTC1"
 // subjects are labelled, so an entry keeps only the byte saying whether the
 // target was built with tables, and load() constructs them empty over the
 // loaded grammar. v8 blobs are a miss and rebuild cleanly.
-// v10: the header checksum is entry_checksum (8 bytes per step) instead of
-// byte-wise fnv1a, which was over a quarter of a warm ref load. v9 blobs are
-// a miss and rebuild cleanly.
-constexpr std::uint32_t kCacheVersion = 10;
+constexpr std::uint32_t kCacheVersion = 9;
 
 // The header: magic, version, key, checksum.
 constexpr std::size_t kCacheHeaderBytes = 24;
@@ -195,8 +192,7 @@ std::optional<TargetArtifacts> TargetCache::load(std::uint64_t key) const {
   if (r.u32() != kCacheMagic || r.u32() != kCacheVersion) return reject();
   if (r.u64() != key) return reject();
   std::uint64_t checksum = r.u64();
-  if (!r.ok() ||
-      checksum != entry_checksum(std::string_view(blob).substr(r.pos())))
+  if (!r.ok() || checksum != fnv1a(blob.substr(r.pos())))
     return reject();  // torn or corrupted payload -> rebuild
 
   TargetArtifacts a;
@@ -245,7 +241,7 @@ bool TargetCache::store(std::uint64_t key,
   header.u32(kCacheMagic);
   header.u32(kCacheVersion);
   header.u64(key);
-  header.u64(entry_checksum(payload));
+  header.u64(fnv1a(payload));
   std::string blob = header.take() + payload;
 
   // Unique temp name per process AND per thread/store: two threads (or

@@ -12,10 +12,10 @@
 // fills as subjects are labelled, so a warm target gets fresh, empty tables
 // over the loaded grammar, exactly like a cold one.
 //
-// Corruption safety: the blob header carries a checksum of the payload
-// (entry_checksum, serialize.h); a truncated, torn or bit-flipped entry
-// fails load() (a cache miss), and the caller falls back to a clean
-// pipeline rebuild which re-stores the entry.
+// Corruption safety: the blob header carries an FNV-1a checksum of the
+// payload; a truncated, torn or bit-flipped entry fails load() (a cache
+// miss), and the caller falls back to a clean pipeline rebuild which
+// re-stores the entry.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,5 @@
 #include "burstab/serialize.h"
 
-#include <bit>
 #include <cstring>
 #include <optional>
 #include <unordered_map>
@@ -17,21 +16,6 @@ std::uint64_t fnv1a(std::string_view bytes, std::uint64_t seed) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-std::uint64_t entry_checksum(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  const char* p = bytes.data();
-  std::size_t n = bytes.size();
-  for (; n >= 8; p += 8, n -= 8) {
-    std::uint64_t word;
-    std::memcpy(&word, p, sizeof word);
-    if constexpr (std::endian::native == std::endian::big)
-      word = __builtin_bswap64(word);
-    h = (h ^ word) * 1099511628211ull;
-    h ^= h >> 32;
-  }
-  return fnv1a(std::string_view(p, n), h);
 }
 
 void ByteWriter::u32(std::uint32_t v) {

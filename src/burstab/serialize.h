@@ -21,14 +21,6 @@ namespace record::burstab {
 [[nodiscard]] std::uint64_t fnv1a(std::string_view bytes,
                                   std::uint64_t seed = 14695981039346656037ull);
 
-/// Cache-entry checksum: FNV-1a's multiply applied to 8-byte little-endian
-/// words, each step followed by a xor-shift, then byte-wise FNV-1a over the
-/// tail. Every step is a bijection of the running state, so a change
-/// confined to one word or one tail byte always changes the result. About
-/// eight times fewer dependent steps than fnv1a; keys, ring positions and
-/// fingerprints keep fnv1a.
-[[nodiscard]] std::uint64_t entry_checksum(std::string_view bytes);
-
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }

@@ -10,7 +10,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -388,7 +387,8 @@ void LineServer::parse_lines(Conn& conn) {
       err.set("error", Json("request line too long"));
       conn.slots.push_back(
           Slot{conn.next_serial++, true, err.dump(), std::nullopt});
-      conn.eof = true;
+      conn.eof = true;  // close after the error flushes; drop what follows
+      start = conn.inbuf.size();
       break;
     }
     std::string error;
@@ -466,25 +466,16 @@ void LineServer::submit_or_park(Conn& conn, std::uint64_t serial,
   }
 }
 
-void LineServer::retry_parked(std::vector<std::uint64_t>& moved) {
+void LineServer::retry_parked() {
   for (auto& [id, conn] : conns_) {
-    bool progressed = false;
     while (!conn.parked.empty()) {
       Parked& head = conn.parked.front();
       if (!try_submit(id, head.serial, head.job))
         break;  // queue still full; a later completion retries
       conn.parked.pop_front();
       --parked_total_;
-      progressed = true;
     }
-    // Lines held back by a park, a shed that emptied it, or the pipeline
-    // limit resume here.
-    if (conn.parked.empty() && !conn.inbuf.empty()) {
-      const std::size_t unparsed = conn.inbuf.size();
-      parse_lines(conn);
-      progressed = progressed || conn.inbuf.size() != unparsed;
-    }
-    if (progressed) moved.push_back(id);
+    if (conn.parked.empty() && !conn.inbuf.empty()) parse_lines(conn);
   }
 }
 
@@ -494,18 +485,6 @@ void LineServer::drain_completions() {
     std::lock_guard<std::mutex> lock(done_mu_);
     ready.swap(done_);
   }
-  // Flush (and possibly close) each listed connection once; look ids up
-  // again because close_conn invalidates conns_ iterators.
-  auto flush_each = [this](std::vector<std::uint64_t>& ids) {
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    for (std::uint64_t id : ids) {
-      auto it = conns_.find(id);
-      if (it != conns_.end()) flush_ready(it->second);
-    }
-  };
-  std::vector<std::uint64_t> answered;
-  answered.reserve(ready.size());
   for (Done& d : ready) {
     auto it = conns_.find(d.conn_id);
     if (it == conns_.end()) continue;  // connection died before the answer
@@ -516,17 +495,21 @@ void LineServer::drain_completions() {
         break;
       }
     }
-    answered.push_back(d.conn_id);
   }
-  // Answered connections flush first: the slots they pop make room under
-  // pipeline_limit for the lines retry_parked parses next.
-  flush_each(answered);
-  std::vector<std::uint64_t> moved;
-  retry_parked(moved);  // completions freed compile-queue slots
-  flush_each(moved);
+  retry_parked();  // completions freed compile-queue slots
+  // Flush (and possibly close) every connection; iterate over ids because
+  // close_conn invalidates conns_ iterators.
+  std::vector<std::uint64_t> ids;
+  ids.reserve(conns_.size());
+  for (auto& [id, conn] : conns_) ids.push_back(id);
+  for (std::uint64_t id : ids) {
+    auto it = conns_.find(id);
+    if (it != conns_.end()) flush_ready(it->second);
+  }
 }
 
 void LineServer::flush_ready(Conn& conn) {
+  bool popped = false;
   for (;;) {
     if (conn.slots.empty()) break;
     Slot& front = conn.slots.front();
@@ -552,6 +535,17 @@ void LineServer::flush_ready(Conn& conn) {
     conn.outbuf.push_back('\n');
     net_counters().responses.add(1);
     conn.slots.pop_front();
+    popped = true;
+  }
+  // The popped slots make room under pipeline_limit for lines it held
+  // back. No completion may be left to come (the slots answered without a
+  // job, or this was the last one), and parsing here could re-enter a
+  // caller's parse (a shed flushes its victim), so wake the loop: its
+  // retry_parked parses them.
+  if (popped && conn.parked.empty() &&
+      conn.inbuf.find('\n') != std::string::npos) {
+    std::uint64_t one = 1;
+    (void)!::write(wake_fd_, &one, sizeof one);
   }
   handle_writable(conn);
 }
@@ -582,8 +576,10 @@ void LineServer::handle_writable(Conn& conn) {
     conn.outbuf.clear();
     conn.outpos = 0;
   }
+  // Complete lines still buffered (held back by the pipeline limit) are
+  // answered before a half-closed connection closes.
   if (conn.eof && conn.slots.empty() && conn.parked.empty() &&
-      conn.outbuf.empty()) {
+      conn.outbuf.empty() && conn.inbuf.find('\n') == std::string::npos) {
     close_conn(id);
     return;
   }

@@ -13,14 +13,14 @@
 // the completion queue (mutex + eventfd wakeup), so the loop never blocks
 // on a job and the workers never block on a socket.
 //
-// Write path: a wakeup drains every queued completion and flushes only the
-// connections it answered, then those that resubmitted a parked job or
-// parsed held-back lines. A flush appends every response ready at the
-// front of the slot deque to outbuf and sends it in one send(); what the
-// kernel does not take waits for EPOLLOUT. The batching happens here, so
-// accepted TCP connections run with TCP_NODELAY: with Nagle on, the last
-// reply of a drained batch would wait for the client's delayed ACK (40 ms
-// or more on Linux).
+// Write path: a wakeup drains every queued completion, retries parked jobs
+// and the lines a park or the pipeline limit held back, then flushes every
+// connection. A flush appends every response ready at the front of the
+// slot deque to outbuf and sends it in one send(); what the kernel does not
+// take waits for EPOLLOUT. A flush that frees slots while complete lines
+// wait behind the pipeline limit wakes the loop, which parses them. The batching happens here, so accepted TCP connections run
+// with TCP_NODELAY: with Nagle on, the last reply of a drained batch would
+// wait for the client's delayed ACK (40 ms or more on Linux).
 //
 // Ordering: each request reserves a response slot at parse time and slots
 // flush strictly in order, so pipelined requests answer in request order.
@@ -166,9 +166,8 @@ class LineServer {
   void submit_or_park(Conn& conn, std::uint64_t serial,
                       service::CompileJob job);
   /// Resubmits parked jobs in order and parses lines a park or the
-  /// pipeline limit held back; appends to `moved` every connection that
-  /// submitted or parsed one.
-  void retry_parked(std::vector<std::uint64_t>& moved);
+  /// pipeline limit held back.
+  void retry_parked();
   void drain_completions();
   void flush_ready(Conn& conn);
   void update_interest(Conn& conn);

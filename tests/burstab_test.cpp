@@ -512,29 +512,6 @@ TEST(BurstabSerialize, GrammarRoundTrip) {
               grammar::pattern_to_string(f.g, *f.g.rules()[i].pattern));
 }
 
-TEST(BurstabSerialize, EntryChecksumDetectsEveryByteFlip) {
-  // Six 8-byte words and a 5-byte tail. Flipping any one bit of any byte —
-  // every lane offset of every word and every tail byte — must change the
-  // checksum, and the tail must be hashed byte-wise (fnv1a continues the
-  // word state).
-  std::mt19937_64 rng(7);
-  std::string bytes(6 * 8 + 5, '\0');
-  for (char& c : bytes) c = static_cast<char>(rng());
-  const std::uint64_t clean = entry_checksum(bytes);
-  EXPECT_NE(clean, fnv1a(bytes));
-  for (std::size_t at = 0; at < bytes.size(); ++at) {
-    for (int bit : {0, 3, 7}) {
-      std::string flipped = bytes;
-      flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
-      EXPECT_NE(entry_checksum(flipped), clean)
-          << "byte " << at << " (lane " << at % 8 << ") bit " << bit;
-    }
-  }
-  // Lengths short of one word are byte-wise FNV-1a from the same seed.
-  EXPECT_EQ(entry_checksum(bytes.substr(0, 7)), fnv1a(bytes.substr(0, 7)));
-  EXPECT_NE(entry_checksum(bytes.substr(0, 8)), fnv1a(bytes.substr(0, 8)));
-}
-
 TEST(BurstabSerialize, TemplateBaseRoundTrip) {
   util::DiagnosticSink diags;
   core::RetargetOptions options;
@@ -881,7 +858,7 @@ void plant_name(std::string& blob, const std::string& from,
   const std::size_t at = blob.find(prefixed(from), 24);
   ASSERT_NE(at, std::string::npos) << from;
   blob.replace(at, from.size() + 4, prefixed(to));
-  put_le(blob, 16, entry_checksum(std::string_view(blob).substr(24)), 8);
+  put_le(blob, 16, fnv1a(std::string_view(blob).substr(24)), 8);
 }
 
 TEST(BurstabCache, MalformedVariableNameIsRejectedAndRebuilds) {
@@ -1041,56 +1018,13 @@ TEST(BurstabCache, CorruptedBlobCompilesBitIdenticallyViaRebuild) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(BurstabCache, FlippedByteAtEveryLaneIsRejected) {
-  // One flipped byte at each offset of a payload word (start, middle and
-  // end of a real entry) and in the trailing bytes past the last whole word
-  // must fail the checksum; the pristine entry still loads.
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "record-cache-lanes")
-          .string();
-  std::filesystem::remove_all(dir);
-  util::DiagnosticSink diags;
-  core::RetargetOptions options;
-  options.use_target_cache = true;
-  options.cache_dir = dir;
-  ASSERT_TRUE(core::Record::retarget_model("bass_boost", options, diags))
-      << diags.str();
-  const std::uint64_t key = TargetCache::key_of(
-      models::model_source("bass_boost"), core::options_digest(options));
-  const std::string path = TargetCache(dir).entry_path(key);
-  const std::string blob = read_file(path);
-  constexpr std::size_t kHeader = 24;
-  ASSERT_GT(blob.size(), kHeader + 64);
-  const std::size_t payload = blob.size() - kHeader;
-  const std::size_t words_end = kHeader + payload / 8 * 8;
-
-  std::vector<std::size_t> offsets;
-  for (std::size_t word : {kHeader, kHeader + payload / 16 * 8,
-                           words_end - 8})
-    for (std::size_t lane = 0; lane < 8; ++lane)
-      offsets.push_back(word + lane);
-  for (std::size_t at = words_end; at < blob.size(); ++at)
-    offsets.push_back(at);
-  offsets.push_back(blob.size() - 1);
-
-  for (std::size_t at : offsets) {
-    std::string flipped = blob;
-    flipped[at] = static_cast<char>(flipped[at] ^ 0x10);
-    write_file(path, flipped);
-    EXPECT_FALSE(TargetCache(dir).load(key))
-        << "flip at payload byte " << at - kHeader << " served as hit";
-  }
-  write_file(path, blob);
-  EXPECT_TRUE(TargetCache(dir).load(key));
-  std::filesystem::remove_all(dir);
-}
-
 TEST(BurstabCache, OldVersionBlobRebuildsCleanly) {
   // Stale entries must read as a miss — the version word gates the whole
   // payload — and the pipeline must rebuild and re-store a current-version
-  // entry. Two inputs: the current entry rewritten as v9 (the format whose
-  // checksum was byte-wise fnv1a), and a real v6 entry (frozen-pool tables
-  // section) for the duo machine, checked in under tests/data.
+  // entry. Two inputs: the current entry with its version word patched down
+  // to 8 (the format that still carried a tables section), and a real v6
+  // entry (frozen-pool tables section) for the duo
+  // machine, checked in under tests/data.
   std::string dir =
       (std::filesystem::temp_directory_path() / "record-cache-oldver")
           .string();
@@ -1112,13 +1046,13 @@ TEST(BurstabCache, OldVersionBlobRebuildsCleanly) {
   std::string blob = std::move(buf).str();
   in.close();
 
-  // Patch the version word (bytes 4..8, little endian) down to 9 and the
-  // checksum (bytes 16..24) to the v9 one, fnv1a over the payload — exactly
-  // what a v9 entry with the same payload looks like on disk.
-  ASSERT_GE(blob.size(), 24u);
-  ASSERT_EQ(blob[4], 10);
-  put_le(blob, 4, 9, 4);
-  put_le(blob, 16, fnv1a(std::string_view(blob).substr(24)), 8);
+  // Patch the version word (bytes 4..8, little endian) down to 8. The
+  // checksum that follows only covers the payload, so the blob is
+  // otherwise pristine — exactly what a stale on-disk entry looks like.
+  ASSERT_GE(blob.size(), 8u);
+  ASSERT_EQ(blob[4], 9);
+  blob[4] = 8;
+  blob[5] = blob[6] = blob[7] = 0;
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(blob.data(), static_cast<std::streamsize>(blob.size()));

@@ -299,6 +299,20 @@ TEST(LineServer, OversizedLineFailsTheConnectionOnly) {
             std::string::npos);
   EXPECT_TRUE(victim.read_line().empty()) << "connection stayed open";
 
+  // A line sent after the oversized one is dropped with the connection,
+  // never answered.
+  Client trailing = Client::connect_tcp(server.port());
+  trailing.set_timeout(10);
+  trailing.send_lines({huge, compile_request("after", "demo")});
+  reply = Json::parse(trailing.read_line());
+  ASSERT_TRUE(reply);
+  EXPECT_NE((*reply)["error"].as_string().find("too long"),
+            std::string::npos);
+  EXPECT_TRUE(trailing.read_line().empty()) << "line after it was answered";
+  char byte;
+  EXPECT_EQ(::recv(trailing.fd, &byte, 1, MSG_DONTWAIT), 0)
+      << "connection stayed open";
+
   // The server itself is unharmed: a fresh connection compiles fine.
   Client fresh = Client::connect_tcp(server.port());
   fresh.send_line(compile_request("fresh", "demo"));
@@ -342,8 +356,9 @@ TEST(LineServer, SlowReaderBackpressureLosesNothing) {
 
 TEST(LineServer, PipelineLimitResumesHeldBackLines) {
   // With one in-flight slot per connection, every line after the first
-  // waits in the input buffer; each completion must parse the next one,
-  // although the client sends nothing more.
+  // waits in the input buffer; each answer must parse the next one,
+  // although the client sends nothing more. A client that half-closes
+  // right after sending still gets every reply.
   service::CompileService::Options opts;
   opts.workers = 2;
   service::CompileService svc(opts);
@@ -354,18 +369,44 @@ TEST(LineServer, PipelineLimitResumesHeldBackLines) {
   ASSERT_TRUE(server.start(&error)) << error;
 
   constexpr int kRequests = 4;
-  Client client = Client::connect_tcp(server.port());
-  client.set_timeout(10);
-  std::vector<std::string> lines;
-  for (int r = 0; r < kRequests; ++r)
-    lines.push_back(compile_request("held" + std::to_string(r), "demo"));
-  client.send_lines(lines);
-  for (int r = 0; r < kRequests; ++r) {
-    std::optional<Json> reply = Json::parse(client.read_line());
-    ASSERT_TRUE(reply) << "response " << r << " never came";
-    EXPECT_EQ((*reply)["tag"].as_string(), "held" + std::to_string(r));
-    EXPECT_TRUE((*reply)["ok"].as_bool(false));
+  for (bool half_close : {false, true}) {
+    SCOPED_TRACE(half_close ? "half-closed" : "open");
+    Client client = Client::connect_tcp(server.port());
+    client.set_timeout(10);
+    std::vector<std::string> lines;
+    for (int r = 0; r < kRequests; ++r)
+      lines.push_back(compile_request("held" + std::to_string(r), "demo"));
+    client.send_lines(lines);
+    if (half_close) {
+      ASSERT_EQ(::shutdown(client.fd, SHUT_WR), 0);
+    }
+    for (int r = 0; r < kRequests; ++r) {
+      std::optional<Json> reply = Json::parse(client.read_line());
+      ASSERT_TRUE(reply) << "response " << r << " never came";
+      EXPECT_EQ((*reply)["tag"].as_string(), "held" + std::to_string(r));
+      EXPECT_TRUE((*reply)["ok"].as_bool(false));
+    }
+    if (half_close) {
+      EXPECT_TRUE(client.read_line().empty()) << "connection stayed open";
+    }
   }
+
+  // A parse error and a control command answer without a compile job, so
+  // no completion follows them; the lines behind them must still be parsed.
+  Client quick = Client::connect_tcp(server.port());
+  quick.set_timeout(10);
+  quick.send_lines({"not json", R"({"cmd": "stats"})",
+                    compile_request("after", "demo")});
+  std::optional<Json> reply = Json::parse(quick.read_line());
+  ASSERT_TRUE(reply) << "parse error never answered";
+  EXPECT_FALSE((*reply)["ok"].as_bool(true));
+  reply = Json::parse(quick.read_line());
+  ASSERT_TRUE(reply) << "line after the parse error never answered";
+  EXPECT_EQ((*reply)["cmd"].as_string(), "stats");
+  reply = Json::parse(quick.read_line());
+  ASSERT_TRUE(reply) << "line after the stats command never answered";
+  EXPECT_EQ((*reply)["tag"].as_string(), "after");
+  EXPECT_TRUE((*reply)["ok"].as_bool(false));
   server.stop();
 }
 
